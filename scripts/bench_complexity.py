@@ -25,6 +25,8 @@ def main():
         print(
             f"N={r.N} Q={r.Q} threads={r.threads}: naive {r.t_naive:.3e}s, "
             f"fast {r.t_fast:.3e}s ({r.t_naive / r.t_fast:.0f}x), "
+            f"assemble + fast {r.t_assemble + r.t_fast:.3e}s "
+            f"({r.t_naive / (r.t_assemble + r.t_fast):.0f}x), "
             f"oracle rel err {r.oracle_rel_error:.1e}"
         )
 

@@ -7,9 +7,11 @@ The scalar kernel of parameter n_hat is the N-term character-weighted sum
 
 with lambda = xi*e^{i*omega} a frequency and y = rho*e^{i*alpha} a spatial
 point.  It depends on (lambda, y) only through the product xi*rho and the
-angle difference alpha-omega.  Stacking the kernel over a spatial slice E and
-a frequency slice F gives, per DFT bin n_hat, the P x Q block of the discrete
-Fourier-Bessel operator.
+angle difference alpha-omega.  The sum over r is a DFT: bin n_hat of the
+length-N FFT over r of the slice kernel exp(i*xi*rho*cos(alpha-omega+2*pi*r/N)).
+Stacking the slice kernel over a spatial slice E and a frequency slice F and
+taking that FFT gives all N P x Q blocks of the discrete Fourier-Bessel
+operator at once.
 
 The classical Bessel function J_n is provided as an independent quadrature
 oracle: as N grows, the kernel scaled by 1/N converges to
@@ -35,18 +37,25 @@ def _polar(p) -> tuple[float, float]:
     return float(r), float(a)
 
 
-def _kernel_sum(n_hat: int, products: np.ndarray, deltas: np.ndarray, N: int) -> np.ndarray:
-    """Ascending-r accumulation of the kernel sum, vectorized over entries.
+# Entries of the slice kernel built per chunk of block rows: large enough to
+# amortize the per-call cost of the FFT, small enough that the chunk's
+# temporaries stay near 1 MB beside the (N, P, Q) output.
+_CHUNK_ENTRIES = 1 << 15
 
-    ``products`` holds xi*rho, ``deltas`` holds alpha-omega.  Both the scalar
-    kernel and the block assembly go through this one code path so that their
-    values agree bit-for-bit.
+
+def _kernel_bins(products: np.ndarray, deltas: np.ndarray, N: int, out: np.ndarray | None = None) -> np.ndarray:
+    """All N kernel bins of every entry: the FFT over r of the slice kernel.
+
+    ``products`` holds xi*rho, ``deltas`` holds alpha-omega; they broadcast to
+    a shape S and the result has shape (N,) + S, bin n_hat at index n_hat.
+    Both the scalar kernel and the block assembly go through this routine.
     """
-    total = np.zeros(np.broadcast(products, deltas).shape, dtype=complex)
-    for r in range(N):
-        step = TWO_PI * r / N
-        total = total + np.exp(1j * products * np.cos(deltas + step)) * np.exp(-2j * np.pi * n_hat * r / N)
-    return total
+    steps = (TWO_PI * np.arange(N) / N).reshape((N,) + (1,) * np.broadcast(products, deltas).ndim)
+    phase = np.cos(deltas + steps)
+    phase *= products
+    slice_kernel = phase * 1j
+    np.exp(slice_kernel, out=slice_kernel)
+    return np.fft.fft(slice_kernel, axis=0, out=out)
 
 
 def generalized_bessel(n_hat: int, lam, y, N: int) -> complex:
@@ -62,7 +71,7 @@ def generalized_bessel(n_hat: int, lam, y, N: int) -> complex:
         raise DomainError(f"n_hat must lie in [0, {N}), got {n_hat}")
     xi, omega = _polar(lam)
     rho, alpha = _polar(y)
-    return complex(_kernel_sum(n_hat, np.float64(xi * rho), np.float64(alpha - omega), N))
+    return complex(_kernel_bins(np.float64(xi * rho), np.float64(alpha - omega), N)[n_hat])
 
 
 @dataclass(frozen=True)
@@ -80,11 +89,11 @@ class FourierBesselBlocks:
 
     @property
     def P(self) -> int:
-        return self.blocks[0].shape[0]
+        return self.blocks.shape[1]
 
     @property
     def Q(self) -> int:
-        return self.blocks[0].shape[1]
+        return self.blocks.shape[2]
 
 
 def assemble_blocks(E: RotInvariantGrid, F: RotInvariantGrid) -> FourierBesselBlocks:
@@ -96,9 +105,11 @@ def assemble_blocks(E: RotInvariantGrid, F: RotInvariantGrid) -> FourierBesselBl
     xi, omega = F.slice_polar()
     products = rho[:, None] * xi[None, :]
     deltas = alpha[:, None] - omega[None, :]
-    blocks = np.empty((N,) + products.shape, dtype=complex)
-    for n_hat in range(N):
-        blocks[n_hat] = _kernel_sum(n_hat, products, deltas, N)
+    P, Q = products.shape
+    blocks = np.empty((N, P, Q), dtype=complex)
+    rows = max(1, _CHUNK_ENTRIES // max(1, N * Q))
+    for j in range(0, P, rows):
+        _kernel_bins(products[j : j + rows], deltas[j : j + rows], N, out=blocks[:, j : j + rows])
     return FourierBesselBlocks(N, blocks, E, F)
 
 
@@ -109,8 +120,7 @@ def save_blocks(blocks: FourierBesselBlocks, path) -> None:
     """Flat binary export: u64 header (N, P, Q) then complex entries, block-major."""
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(blocks.N, blocks.P, blocks.Q))
-        for b in blocks.blocks:
-            fh.write(np.ascontiguousarray(b, dtype="<c16").tobytes())
+        np.ascontiguousarray(blocks.blocks, dtype="<c16").tofile(fh)
 
 
 def load_blocks_raw(path) -> tuple[int, int, int, np.ndarray]:

@@ -15,8 +15,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bessel import assemble_blocks, save_blocks
-from .errors import GridError, ParseError, WellPosednessError
+from .bessel import assemble_blocks
+from .errors import DomainError, GridError, GridMismatch, ParseError, WellPosednessError
 from .grids import build_polar_grid, canonicalize, load_grid, save_grid, RotInvariantGrid
 from .group_reps import (
     GroupElement,
@@ -88,8 +88,14 @@ def _load_weights(args, F: RotInvariantGrid) -> Weights:
     if args.weights == "zero":
         return Weights.zero(F.N, len(F.points))
     if args.weights is not None:
-        arr = np.loadtxt(args.weights, delimiter=",", ndmin=2)
-        return Weights(arr)
+        try:
+            arr = np.loadtxt(args.weights, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ParseError(f"{args.weights}: {exc}") from exc
+        try:
+            return Weights(arr)
+        except ValueError as exc:
+            raise DomainError(f"{args.weights}: {exc}") from exc
     if args.weights_scheme == "paper":
         return banded_weights(F, args.alpha)
     return Weights.zero(F.N, len(F.points))
@@ -198,11 +204,12 @@ def cmd_bench(args) -> int:
     report = bench_evaluate(args.N, args.Q, repetitions=args.repetitions, threads=args.threads)
     if args.out:
         report.write_csv(args.out)
-    print("\t".join(report.CSV_COLUMNS[:8]))
+    print("\t".join(report.CSV_COLUMNS[:9] + ("speedup_with_assembly",)))
     for r in report.records:
         print(
-            f"{r.N}\t{r.P}\t{r.Q}\t{r.t_naive:.3e}\t{r.t_fast:.3e}"
+            f"{r.N}\t{r.P}\t{r.Q}\t{r.t_naive:.3e}\t{r.t_assemble:.3e}\t{r.t_fast:.3e}"
             f"\t{r.t_prefactorize:.3e}\t{r.t_solve:.3e}\t{r.threads}"
+            f"\t{r.t_naive / (r.t_assemble + r.t_fast):.1f}"
         )
     if args.conditioning:
         from .harness import square_bench_grids
@@ -316,7 +323,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except GridError as exc:
+    except DomainError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except (GridError, GridMismatch) as exc:
         print(f"grid error: {exc}", file=sys.stderr)
         return EXIT_GRID
     except WellPosednessError as exc:

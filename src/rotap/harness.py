@@ -36,6 +36,7 @@ class BenchRecord:
     P: int
     Q: int
     t_naive: float
+    t_assemble: float
     t_fast: float
     t_prefactorize: float
     t_solve: float
@@ -53,6 +54,7 @@ class BenchReport:
         "P",
         "Q",
         "t_naive",
+        "t_assemble",
         "t_fast",
         "t_prefactorize",
         "t_solve",
@@ -73,6 +75,7 @@ class BenchReport:
                         r.P,
                         r.Q,
                         f"{r.t_naive:.6e}",
+                        f"{r.t_assemble:.6e}",
                         f"{r.t_fast:.6e}",
                         f"{r.t_prefactorize:.6e}",
                         f"{r.t_solve:.6e}",
@@ -118,7 +121,10 @@ def _fast_parallel(coeffs: ApCoefficients, blocks: FourierBesselBlocks, pool: Th
 
 
 def bench_evaluate(N_list, Q_list, repetitions: int = 3, threads: int = 1, seed: int = 0) -> BenchReport:
-    """Time naive vs fast evaluation and prefactorize+solve on random data.
+    """Time naive vs fast evaluation, block assembly and prefactorize+solve on random data.
+
+    ``t_fast`` is one evaluation with the blocks in hand; a fast path that
+    starts from the grids costs ``t_assemble + t_fast``.
 
     With ``threads > 1`` a second record per configuration times the fast path
     with per-bin products distributed over a thread pool.
@@ -143,17 +149,18 @@ def bench_evaluate(N_list, Q_list, repetitions: int = 3, threads: int = 1, seed:
                     np.linalg.norm(fast.values - ref.values) / max(np.linalg.norm(ref.values), 1e-300)
                 )
                 t_naive = _median_time(lambda: evaluate_naive(coeffs, E), repetitions)
+                t_assemble = _median_time(lambda: assemble_blocks(E, F), repetitions)
                 t_fast = _median_time(lambda: evaluate_fast(coeffs, blocks), repetitions)
                 t_pref = _median_time(lambda: prefactorize(blocks, "interpolation"), repetitions)
                 fact = prefactorize(blocks, "interpolation")
                 t_solve = _median_time(lambda: interpolate(fast, fact), repetitions)
                 report.records.append(
-                    BenchRecord(N, Q, Q, t_naive, t_fast, t_pref, t_solve, fact.conditions, 1, rel)
+                    BenchRecord(N, Q, Q, t_naive, t_assemble, t_fast, t_pref, t_solve, fact.conditions, 1, rel)
                 )
                 if pool is not None:
                     t_fast_p = _median_time(lambda: _fast_parallel(coeffs, blocks, pool), repetitions)
                     report.records.append(
-                        BenchRecord(N, Q, Q, t_naive, t_fast_p, t_pref, t_solve, fact.conditions, threads, rel)
+                        BenchRecord(N, Q, Q, t_naive, t_assemble, t_fast_p, t_pref, t_solve, fact.conditions, threads, rel)
                     )
     finally:
         if pool is not None:

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,9 @@ from rotap import (
     load_blocks_raw,
     save_blocks,
 )
+from rotap import bessel
 from rotap.grids import RotInvariantGrid, SlicePoint
+from rotap.harness import square_bench_grids
 
 
 def direct_sum(n_hat, product, delta, N):
@@ -121,6 +124,33 @@ class TestAssembleBlocks:
                     got = blocks.blocks[n_hat][j, k]
                     want = generalized_bessel(n_hat, lam, y, 5)
                     assert abs(got - want) < 1e-14
+
+    @pytest.mark.parametrize("N, P, Q", [(7, 4, 1200), (64, 6, 128)])
+    def test_entries_match_direct_sum(self, N, P, Q):
+        # P is not a multiple of the rows per chunk, so the last chunk is partial.
+        assert P % (bessel._CHUNK_ENTRIES // (N * Q)) != 0
+        E = build_polar_grid(2, np.linspace(0.5, 4.0, P // 2), N, kind="spatial")
+        F = build_polar_grid(1, np.linspace(0.1, 9.0, Q), N, kind="frequency")
+        blocks = assemble_blocks(E, F).blocks
+        assert blocks.shape == (N, P, Q)
+        scale = np.abs(blocks).max()
+        for k in list(range(0, Q, Q // 8)) + [Q - 1]:
+            lam = F.points[k]
+            for j, y in enumerate(E.points):
+                product, delta = lam.radius * y.radius, y.angle - lam.angle
+                for n_hat in range(N):
+                    want = direct_sum(n_hat, product, delta, N)
+                    assert abs(blocks[n_hat, j, k] - want) <= 1e-12 * scale
+
+    def test_allocates_little_beyond_output(self):
+        E, F = square_bench_grids(64, 128)
+        tracemalloc.start()
+        try:
+            blocks = assemble_blocks(E, F)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * blocks.blocks.nbytes
 
     def test_mismatched_N(self):
         from rotap import GridMismatch

@@ -13,6 +13,7 @@ from rotap import (
     save_coefficients,
     save_samples,
     ApCoefficients,
+    SampleArray,
 )
 from rotap.cli import main
 from rotap.grids import RotInvariantGrid, SlicePoint
@@ -121,6 +122,26 @@ class TestEvaluateSolveRoundtrip:
     def test_missing_input_exit_5(self, tmp_path):
         assert main(["evaluate", str(tmp_path / "nope.bin"), "--grid", "g", "--out", "o"]) == 5
 
+    @pytest.mark.parametrize(
+        "weights, code, prefix",
+        [
+            ("1,2,3\n", 3, "grid error:"),
+            ("1,-2\n" + "1,2\n" * 3, 2, "usage error:"),
+            ("a,b\n", 5, "I/O error:"),
+        ],
+        ids=["shape-mismatch", "negative", "unparseable"],
+    )
+    def test_bad_weights_exit_code(self, tmp_path, capsys, weights, code, prefix):
+        E = build_polar_grid(1, [0.5, 1.5], 4, kind="spatial")
+        spath = tmp_path / "s.bin"
+        save_samples(spath, SampleArray(np.ones((4, 2), dtype=complex), E))
+        wpath = tmp_path / "w.csv"
+        wpath.write_text(weights)
+        rc = main(["approximate", str(spath), "--weights", str(wpath), "--out", str(tmp_path / "o.bin")])
+        err = capsys.readouterr().err
+        assert rc == code
+        assert err.startswith(prefix) and "Traceback" not in err
+
     def test_ill_posed_exit_4(self, tmp_path, rng):
         # Two slice points separated by 1e-10 pass grid validation but make
         # every block numerically singular.
@@ -146,7 +167,7 @@ class TestBenchCommand:
         rc = main(["bench", "--N", "4", "--Q", "6", "--repetitions", "3", "--out", str(out), "--conditioning"])
         assert rc == 0
         text = capsys.readouterr().out
-        assert "t_naive" in text and "conditioning N=4" in text
+        assert "t_naive\tt_assemble" in text and "conditioning N=4" in text
         assert out.read_text().startswith("N,P,Q,")
 
 

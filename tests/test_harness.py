@@ -63,7 +63,7 @@ class TestBenchEvaluate:
         assert len(report.records) == 1
         rec = report.records[0]
         assert rec.oracle_rel_error < 1e-10
-        assert rec.t_naive > 0 and rec.t_fast > 0
+        assert rec.t_naive > 0 and rec.t_fast > 0 and rec.t_assemble > 0
         assert rec.t_prefactorize > 0 and rec.t_solve > 0
         path = tmp_path / "bench.csv"
         report.write_csv(path)
