@@ -15,15 +15,14 @@ def main():
     ap.add_argument("--N", type=int, nargs="+", default=[64])
     ap.add_argument("--Q", type=int, nargs="+", default=[32, 64, 128])
     ap.add_argument("--repetitions", type=int, default=5)
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--out", default="bench_report.csv")
     args = ap.parse_args()
 
-    report = bench_evaluate(args.N, args.Q, repetitions=args.repetitions, threads=args.threads)
+    report = bench_evaluate(args.N, args.Q, repetitions=args.repetitions)
     report.write_csv(args.out)
     for r in report.records:
         print(
-            f"N={r.N} Q={r.Q} threads={r.threads}: naive {r.t_naive:.3e}s, "
+            f"N={r.N} Q={r.Q}: naive {r.t_naive:.3e}s, "
             f"fast {r.t_fast:.3e}s ({r.t_naive / r.t_fast:.0f}x), "
             f"assemble + fast {r.t_assemble + r.t_fast:.3e}s "
             f"({r.t_naive / (r.t_assemble + r.t_fast):.0f}x), "

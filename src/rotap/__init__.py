@@ -31,8 +31,6 @@ from .bessel import (
     classical_bessel,
     generalized_bessel,
     kernel_limit_error,
-    load_blocks_raw,
-    save_blocks,
 )
 from .transform import (
     ApCoefficients,

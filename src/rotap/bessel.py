@@ -20,13 +20,11 @@ i^n_hat * e^{i*n_hat*(alpha-omega)} * J_{n_hat}(xi*rho).
 
 from __future__ import annotations
 
-import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, GridMismatch, ParseError
+from .errors import DomainError, GridMismatch
 from .grids import RotInvariantGrid, SlicePoint, TWO_PI
 
 
@@ -111,31 +109,6 @@ def assemble_blocks(E: RotInvariantGrid, F: RotInvariantGrid) -> FourierBesselBl
     for j in range(0, P, rows):
         _kernel_bins(products[j : j + rows], deltas[j : j + rows], N, out=blocks[:, j : j + rows])
     return FourierBesselBlocks(N, blocks, E, F)
-
-
-_HEADER = struct.Struct("<QQQ")
-
-
-def save_blocks(blocks: FourierBesselBlocks, path) -> None:
-    """Flat binary export: u64 header (N, P, Q) then complex entries, block-major."""
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(blocks.N, blocks.P, blocks.Q))
-        np.ascontiguousarray(blocks.blocks, dtype="<c16").tofile(fh)
-
-
-def load_blocks_raw(path) -> tuple[int, int, int, np.ndarray]:
-    """Read a blocks file back as (N, P, Q, array of shape (N, P, Q))."""
-    with open(path, "rb") as fh:
-        head = fh.read(_HEADER.size)
-        if len(head) != _HEADER.size:
-            raise ParseError(f"{path}: truncated header")
-        N, P, Q = _HEADER.unpack(head)
-        payload = fh.read()
-    expected = N * P * Q * 16
-    if len(payload) != expected:
-        raise ParseError(f"{path}: expected {expected} payload bytes, got {len(payload)}")
-    data = np.frombuffer(payload, dtype="<c16").reshape(N, P, Q).astype(complex)
-    return N, P, Q, data
 
 
 def classical_bessel(n: int, x: float) -> float:

@@ -201,14 +201,14 @@ def cmd_bench(args) -> int:
     if args.optimal_N is not None:
         print(optimal_N(args.optimal_N))
         return EXIT_OK
-    report = bench_evaluate(args.N, args.Q, repetitions=args.repetitions, threads=args.threads)
+    report = bench_evaluate(args.N, args.Q, repetitions=args.repetitions)
     if args.out:
         report.write_csv(args.out)
-    print("\t".join(report.CSV_COLUMNS[:9] + ("speedup_with_assembly",)))
+    print("\t".join(report.CSV_COLUMNS[:8] + ("speedup_with_assembly",)))
     for r in report.records:
         print(
             f"{r.N}\t{r.P}\t{r.Q}\t{r.t_naive:.3e}\t{r.t_assemble:.3e}\t{r.t_fast:.3e}"
-            f"\t{r.t_prefactorize:.3e}\t{r.t_solve:.3e}\t{r.threads}"
+            f"\t{r.t_prefactorize:.3e}\t{r.t_solve:.3e}"
             f"\t{r.t_naive / (r.t_assemble + r.t_fast):.1f}"
         )
     if args.conditioning:
@@ -255,7 +255,6 @@ def cmd_verify_rep(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rotap", description=__doc__)
     parser.add_argument("--version", action="version", version=f"rotap {__version__}")
-    parser.add_argument("--threads", type=int, default=1, help="data-parallel bins (1 = serial)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("grid", help="build or canonicalize a rotation-invariant grid")

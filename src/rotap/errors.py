@@ -36,7 +36,7 @@ class GridMismatch(RotapError):
     """Two objects built over incompatible grids were combined."""
 
 
-class DomainError(RotapError):
+class DomainError(RotapError, ValueError):
     """An argument fell outside the supported numeric range."""
 
 

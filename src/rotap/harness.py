@@ -11,18 +11,16 @@ import csv
 import functools
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bessel import FourierBesselBlocks, assemble_blocks
+from .errors import DomainError
 from .grids import build_polar_grid
 from .transform import (
     ApCoefficients,
-    SampleArray,
     _solve_bins,
-    dft_rotation_axis,
     evaluate_fast,
     evaluate_naive,
     interpolate,
@@ -41,7 +39,6 @@ class BenchRecord:
     t_prefactorize: float
     t_solve: float
     conditions: tuple[float, ...]
-    threads: int
     oracle_rel_error: float
 
 
@@ -58,7 +55,6 @@ class BenchReport:
         "t_fast",
         "t_prefactorize",
         "t_solve",
-        "threads",
         "oracle_rel_error",
         "cond_min",
         "cond_max",
@@ -79,7 +75,6 @@ class BenchReport:
                         f"{r.t_fast:.6e}",
                         f"{r.t_prefactorize:.6e}",
                         f"{r.t_solve:.6e}",
-                        r.threads,
                         f"{r.oracle_rel_error:.3e}",
                         f"{min(r.conditions):.3e}",
                         f"{max(r.conditions):.3e}",
@@ -112,59 +107,38 @@ def square_bench_grids(N: int, Q: int, lo: float = 1.0, hi: float | None = None)
     return E, F
 
 
-def _fast_parallel(coeffs: ApCoefficients, blocks: FourierBesselBlocks, pool: ThreadPoolExecutor) -> SampleArray:
-    """evaluate_fast with the per-bin matrix products farmed out to a thread pool."""
-    chat = dft_rotation_axis(coeffs.values, "forward")
-    results = list(pool.map(lambda n: blocks.blocks[n] @ chat[n], range(blocks.N)))
-    shat = np.stack(results)
-    return SampleArray(dft_rotation_axis(shat, "inverse"), blocks.spatial_grid)
-
-
-def bench_evaluate(N_list, Q_list, repetitions: int = 3, threads: int = 1, seed: int = 0) -> BenchReport:
+def bench_evaluate(N_list, Q_list, repetitions: int = 3, seed: int = 0) -> BenchReport:
     """Time naive vs fast evaluation, block assembly and prefactorize+solve on random data.
 
     ``t_fast`` is one evaluation with the blocks in hand; a fast path that
     starts from the grids costs ``t_assemble + t_fast``.
-
-    With ``threads > 1`` a second record per configuration times the fast path
-    with per-bin products distributed over a thread pool.
     """
     if repetitions < 3:
-        raise ValueError("repetitions must be >= 3")
+        raise DomainError("repetitions must be >= 3")
     rng = np.random.default_rng(seed)
     report = BenchReport()
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        for N in N_list:
-            for Q in Q_list:
-                E, F = square_bench_grids(N, Q)
-                blocks = assemble_blocks(E, F)
-                coeffs = ApCoefficients(
-                    rng.standard_normal((N, Q)) + 1j * rng.standard_normal((N, Q)), F
-                )
-                # Correctness precedes timing.
-                ref = evaluate_naive(coeffs, E)
-                fast = evaluate_fast(coeffs, blocks)
-                rel = float(
-                    np.linalg.norm(fast.values - ref.values) / max(np.linalg.norm(ref.values), 1e-300)
-                )
-                t_naive = _median_time(lambda: evaluate_naive(coeffs, E), repetitions)
-                t_assemble = _median_time(lambda: assemble_blocks(E, F), repetitions)
-                t_fast = _median_time(lambda: evaluate_fast(coeffs, blocks), repetitions)
-                t_pref = _median_time(lambda: prefactorize(blocks, "interpolation"), repetitions)
-                fact = prefactorize(blocks, "interpolation")
-                t_solve = _median_time(lambda: interpolate(fast, fact), repetitions)
-                report.records.append(
-                    BenchRecord(N, Q, Q, t_naive, t_assemble, t_fast, t_pref, t_solve, fact.conditions, 1, rel)
-                )
-                if pool is not None:
-                    t_fast_p = _median_time(lambda: _fast_parallel(coeffs, blocks, pool), repetitions)
-                    report.records.append(
-                        BenchRecord(N, Q, Q, t_naive, t_assemble, t_fast_p, t_pref, t_solve, fact.conditions, threads, rel)
-                    )
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for N in N_list:
+        for Q in Q_list:
+            E, F = square_bench_grids(N, Q)
+            blocks = assemble_blocks(E, F)
+            coeffs = ApCoefficients(
+                rng.standard_normal((N, Q)) + 1j * rng.standard_normal((N, Q)), F
+            )
+            # Correctness precedes timing.
+            ref = evaluate_naive(coeffs, E)
+            fast = evaluate_fast(coeffs, blocks)
+            rel = float(
+                np.linalg.norm(fast.values - ref.values) / max(np.linalg.norm(ref.values), 1e-300)
+            )
+            t_naive = _median_time(lambda: evaluate_naive(coeffs, E), repetitions)
+            t_assemble = _median_time(lambda: assemble_blocks(E, F), repetitions)
+            t_fast = _median_time(lambda: evaluate_fast(coeffs, blocks), repetitions)
+            t_pref = _median_time(lambda: prefactorize(blocks, "interpolation"), repetitions)
+            fact = prefactorize(blocks, "interpolation")
+            t_solve = _median_time(lambda: interpolate(fast, fact), repetitions)
+            report.records.append(
+                BenchRecord(N, Q, Q, t_naive, t_assemble, t_fast, t_pref, t_solve, fact.conditions, rel)
+            )
     return report
 
 
@@ -197,7 +171,7 @@ def bench_solve_scaling(N: int, Q_list, repetitions: int = 200, seed: int = 0) -
 def optimal_N(grid_size: int) -> int:
     """The cost-minimizing number of rotations for a square polar grid of the given size."""
     if grid_size < 10:
-        raise ValueError("grid_size must be >= 10")
+        raise DomainError("grid_size must be >= 10")
     return max(1, round(math.sqrt(grid_size / 10)))
 
 

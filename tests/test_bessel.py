@@ -14,8 +14,6 @@ from rotap import (
     classical_bessel,
     generalized_bessel,
     kernel_limit_error,
-    load_blocks_raw,
-    save_blocks,
 )
 from rotap import bessel
 from rotap.grids import RotInvariantGrid, SlicePoint
@@ -159,17 +157,6 @@ class TestAssembleBlocks:
         F = build_polar_grid(1, [1.0], 8, kind="frequency")
         with pytest.raises(GridMismatch):
             assemble_blocks(E, F)
-
-    def test_blocks_binary_roundtrip(self, tmp_path):
-        E = build_polar_grid(2, [0.5, 1.5], 4, kind="spatial")
-        F = build_polar_grid(1, [0.8, 1.1, 2.0], 4, kind="frequency")
-        blocks = assemble_blocks(E, F)
-        path = tmp_path / "blocks.bin"
-        save_blocks(blocks, path)
-        N, P, Q, data = load_blocks_raw(path)
-        assert (N, P, Q) == (4, 4, 3)
-        for n_hat in range(N):
-            np.testing.assert_array_equal(data[n_hat], blocks.blocks[n_hat])
 
 
 class TestClassicalBessel:

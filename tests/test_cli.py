@@ -123,6 +123,32 @@ class TestEvaluateSolveRoundtrip:
         assert main(["evaluate", str(tmp_path / "nope.bin"), "--grid", "g", "--out", "o"]) == 5
 
     @pytest.mark.parametrize(
+        "header",
+        ['[1,2]', '{"N":-4,"count":2}', '{"N":4.5,"count":2}'],
+        ids=["list", "negative-N", "fractional-N"],
+    )
+    def test_bad_header_exit_5(self, tmp_path, capsys, header):
+        cpath = tmp_path / "c.bin"
+        cpath.write_bytes(header.encode() + b"\n" + bytes(128))
+        rc = main(["evaluate", str(cpath), "--grid", "g", "--out", str(tmp_path / "o.bin")])
+        err = capsys.readouterr().err
+        assert rc == 5
+        assert err.startswith("I/O error:") and "must be" in err and "Traceback" not in err
+
+    def test_grid_path_relative_to_data_file(self, setup, tmp_path, monkeypatch):
+        E, F, gpath, coeffs, cpath = setup
+        sub = tmp_path / "sub"
+        sub.mkdir()
+        from rotap import save_grid
+
+        save_grid(F, sub / "F.json")
+        save_coefficients(sub / "c.bin", coeffs, grid_path="F.json")
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "s.bin"
+        assert main(["evaluate", "sub/c.bin", "--grid", str(gpath), "--out", str(out)]) == 0
+        np.testing.assert_allclose(load_samples(out).values, evaluate_fast(coeffs, assemble_blocks(E, F)).values)
+
+    @pytest.mark.parametrize(
         "weights, code, prefix",
         [
             ("1,2,3\n", 3, "grid error:"),
@@ -161,6 +187,17 @@ class TestBenchCommand:
     def test_optimal_N(self, capsys):
         assert main(["bench", "--optimal-N", "1000"]) == 0
         assert capsys.readouterr().out.strip() == "10"
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--optimal-N", "5"], ["--repetitions", "2"]],
+        ids=["optimal-N", "repetitions"],
+    )
+    def test_bad_argument_exit_2(self, capsys, flags):
+        rc = main(["bench", "--N", "4", "--Q", "6"] + flags)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("usage error:") and "Traceback" not in err
 
     def test_small_bench_with_csv(self, tmp_path, capsys):
         out = tmp_path / "report.csv"

@@ -73,11 +73,6 @@ class TestBenchEvaluate:
         assert len(rows) == 2
         assert rows[1][0] == "4"
 
-    def test_threaded_record_added(self):
-        report = bench_evaluate([4], [6], repetitions=3, threads=2, seed=1)
-        assert len(report.records) == 2
-        assert {r.threads for r in report.records} == {1, 2}
-
     def test_rejects_too_few_repetitions(self):
         with pytest.raises(ValueError):
             bench_evaluate([4], [6], repetitions=2)
