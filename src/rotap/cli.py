@@ -27,7 +27,6 @@ from .group_reps import (
 from .harness import bench_evaluate, conditioning_report, optimal_N
 from .image import bilinear_sample, load_image
 from .transform import (
-    ApCoefficients,
     SampleArray,
     Weights,
     approximate,

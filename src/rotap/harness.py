@@ -193,13 +193,12 @@ def _min_pairwise_distance(full_xy: np.ndarray) -> float:
 
 def conditioning_report(blocks: FourierBesselBlocks) -> ConditioningReport:
     """Per-block 2-norm condition numbers plus the smallest point spacings of E and F."""
-    conds = []
-    for b in blocks.blocks:
-        s = np.linalg.svd(b, compute_uv=False)
-        smin = s.min(initial=np.inf)
-        conds.append(float(s.max() / smin) if smin > 0 else float("inf"))
+    s = np.linalg.svd(blocks.blocks, compute_uv=False)  # (N, min(P, Q)), descending
+    smax, smin = s[:, 0], s[:, -1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        conds = np.where(smin > 0, smax / smin, np.inf)
     return ConditioningReport(
-        conds,
+        conds.tolist(),
         _min_pairwise_distance(blocks.spatial_grid.full_xy()),
         _min_pairwise_distance(blocks.frequency_grid.full_xy()),
     )

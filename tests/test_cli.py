@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -181,6 +185,40 @@ class TestEvaluateSolveRoundtrip:
             assemble_blocks(E, freq_twin(E)),
         ))
         assert main(["interpolate", str(spath), "--out", str(tmp_path / "o.bin")]) == 4
+
+
+_IMPORT_PROBE = """
+import sys
+from rotap.cli import main
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+spath, out = sys.argv[1], sys.argv[2]
+print("probe", scipy_modules())
+rc = main(["approximate", spath, "--out", out, "--weights", "zero"])
+print("probe", rc, scipy_modules())
+print("probe", main(["interpolate", spath, "--out", out]))
+"""
+
+
+def test_approximate_does_not_import_scipy(tmp_path):
+    # Only interpolation uses scipy; importing the CLI and fitting by
+    # approximation stay on numpy and do not pay for loading scipy.
+    E = build_polar_grid(2, [0.5, 1.1, 2.0], 4, kind="spatial")
+    spath = tmp_path / "samples.bin"
+    save_samples(spath, evaluate_fast(
+        ApCoefficients(np.ones((4, 6), dtype=complex), freq_twin(E)), assemble_blocks(E, freq_twin(E))
+    ))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, str(spath), str(tmp_path / "o.bin")],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    probes = [line for line in proc.stdout.splitlines() if line.startswith("probe ")]
+    assert probes == ["probe []", "probe 0 []", "probe 0"]
 
 
 class TestBenchCommand:

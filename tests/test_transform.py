@@ -171,6 +171,33 @@ class TestPrefactorize:
             prefactorize(assemble_blocks(E, F), "interpolation")
         assert 0 <= exc.value.bin_index < 4
 
+    def test_duplicated_point_approximation_is_singular(self):
+        # J* J is exactly singular, so the Cholesky factorization itself fails.
+        pts = (SlicePoint(1.0, 0.1), SlicePoint(1.0, 0.1))
+        E = RotInvariantGrid(4, pts, "spatial")
+        F = build_polar_grid(1, [0.5, 1.5], 4, kind="frequency")
+        with pytest.raises(WellPosednessError) as exc:
+            prefactorize(assemble_blocks(E, F), "approximation", Weights.zero(4, 2))
+        assert exc.value.bin_index == 0
+        assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
+
+    def test_approximation_matches_cholesky_reference(self, rng):
+        import scipy.linalg
+
+        E = random_slice_grid(rng, 8, 10)
+        F = random_slice_grid(rng, 8, 6, "frequency")
+        blocks = assemble_blocks(E, F)
+        w = Weights(rng.uniform(0.1, 2.0, (8, 6)))
+        fact = prefactorize(blocks, "approximation", w)
+        assert fact.operators.shape == (8, 6, 10) and fact.operators.flags.c_contiguous
+        for n_hat, b in enumerate(blocks.blocks):
+            adjoint = b.conj().T
+            c, low = scipy.linalg.cho_factor(adjoint @ b + np.diag(w.values[n_hat] ** 2))
+            diag = np.abs(np.diag(c))
+            assert fact.conditions[n_hat] == pytest.approx((diag.max() / diag.min()) ** 2, rel=1e-12)
+            want = scipy.linalg.cho_solve((c, low), adjoint)
+            assert np.abs(fact.operators[n_hat] - want).max() <= 1e-12 * np.abs(want).max()
+
     def test_polar_grid_conditions_finite(self):
         E, F = square_grid_pair(8, [1.0, 2.0])
         # two rays per slice
