@@ -49,6 +49,9 @@ EXIT_GRID = 3
 EXIT_WELLPOSED = 4
 EXIT_IO = 5
 
+# Largest per-bin condition number a solve command accepts.
+CONDITION_LIMIT = 1e12
+
 
 def _parse_radii(text: str) -> list[float]:
     return [float(t) for t in text.split(",") if t.strip()]
@@ -123,6 +126,9 @@ def _solve_command(args, mode: str) -> int:
     blocks = assemble_blocks(samples.spatial_grid, F)
     weights = _load_weights(args, F) if mode == "approximation" else None
     fact = prefactorize(blocks, mode, weights)
+    worst = int(np.argmax(fact.conditions))
+    if fact.conditions[worst] > CONDITION_LIMIT:
+        raise WellPosednessError(worst, fact.conditions[worst])
     coeffs = interpolate(samples, fact) if mode == "interpolation" else approximate(samples, fact)
     if args.check_oracle:
         ref = evaluate_naive(coeffs, samples.spatial_grid)
@@ -226,8 +232,10 @@ def cmd_bench(args) -> int:
 
 
 def cmd_verify_rep(args) -> int:
-    rng = np.random.default_rng(args.seed)
     N = args.N
+    if N < 1:
+        raise DomainError(f"--N must be >= 1, got {N}")
+    rng = np.random.default_rng(args.seed)
     worst_hom = 0.0
     worst_uni = 0.0
     for _ in range(args.seeds):

@@ -57,12 +57,12 @@ def rep_matrix(lam, g: GroupElement, N: int) -> np.ndarray:
     lam = np.asarray(lam, dtype=float)
     if np.hypot(lam[0], lam[1]) == 0:
         raise TrivialStabilizer("lambda must be nonzero")
-    x = np.asarray(g.translation)
+    x0, x1 = g.translation
+    h = np.arange(N)
+    c, s = np.cos(TWO_PI * h / N), np.sin(TWO_PI * h / N)
+    phase = (c * lam[0] - s * lam[1]) * x0 + (s * lam[0] + c * lam[1]) * x1  # <R_{2*pi*h/N} lam, x>
     T = np.zeros((N, N), dtype=complex)
-    k = g.rotation % N
-    for h in range(N):
-        phase = np.exp(1j * float(rotation_matrix(TWO_PI * h / N) @ lam @ x))
-        T[h, (h - k) % N] = phase
+    T[h, (h - g.rotation) % N] = np.exp(1j * phase)
     return T
 
 

@@ -1,6 +1,6 @@
 """Benchmarks and model checks for the factorized transform.
 
-Timings are wall-clock medians with one discarded warm-up; the claimed costs
+Timings are wall-clock medians after an untimed first call; the claimed costs
 are treated as scaling trends, not exact FLOP targets.  Every timed fast-path
 configuration is validated against the dense oracle before timing.
 """
@@ -83,7 +83,6 @@ class BenchReport:
 
 
 def _median_time(fn, repetitions: int) -> float:
-    fn()  # warm-up, discarded
     times = []
     for _ in range(repetitions):
         t0 = time.perf_counter()
@@ -111,7 +110,8 @@ def bench_evaluate(N_list, Q_list, repetitions: int = 3, seed: int = 0) -> Bench
     """Time naive vs fast evaluation, block assembly and prefactorize+solve on random data.
 
     ``t_fast`` is one evaluation with the blocks in hand; a fast path that
-    starts from the grids costs ``t_assemble + t_fast``.
+    starts from the grids costs ``t_assemble + t_fast``.  The untimed calls
+    that build the inputs and check correctness warm every timed stage.
     """
     if repetitions < 3:
         raise DomainError("repetitions must be >= 3")
@@ -130,11 +130,12 @@ def bench_evaluate(N_list, Q_list, repetitions: int = 3, seed: int = 0) -> Bench
             rel = float(
                 np.linalg.norm(fast.values - ref.values) / max(np.linalg.norm(ref.values), 1e-300)
             )
+            fact = prefactorize(blocks, "interpolation")
+            interpolate(fast, fact)
             t_naive = _median_time(lambda: evaluate_naive(coeffs, E), repetitions)
             t_assemble = _median_time(lambda: assemble_blocks(E, F), repetitions)
             t_fast = _median_time(lambda: evaluate_fast(coeffs, blocks), repetitions)
             t_pref = _median_time(lambda: prefactorize(blocks, "interpolation"), repetitions)
-            fact = prefactorize(blocks, "interpolation")
             t_solve = _median_time(lambda: interpolate(fast, fact), repetitions)
             report.records.append(
                 BenchRecord(N, Q, Q, t_naive, t_assemble, t_fast, t_pref, t_solve, fact.conditions, rel)

@@ -24,6 +24,12 @@ def square_grid_pair(N, radii):
     return E, F
 
 
+def demo_grids():
+    """The acceptance tests' image-demo grid pair: N=8, 3 rays, 6 radii, E = F."""
+    radii = np.geomspace(0.3, 2.5, 6)
+    return build_polar_grid(3, radii, 8, kind="spatial"), build_polar_grid(3, radii, 8, kind="frequency")
+
+
 def random_coefficients(rng, F):
     N, Q = F.N, len(F.points)
     return ApCoefficients(rng.standard_normal((N, Q)) + 1j * rng.standard_normal((N, Q)), F)

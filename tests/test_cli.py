@@ -22,6 +22,8 @@ from rotap import (
 from rotap.cli import main
 from rotap.grids import RotInvariantGrid, SlicePoint
 
+from conftest import demo_grids
+
 
 def freq_twin(grid):
     return RotInvariantGrid(grid.N, grid.points, "frequency").validate()
@@ -186,6 +188,18 @@ class TestEvaluateSolveRoundtrip:
         ))
         assert main(["interpolate", str(spath), "--out", str(tmp_path / "o.bin")]) == 4
 
+    def test_ill_conditioned_interpolation_exit_4(self, tmp_path, capsys):
+        # The demo grid's blocks invert without a LAPACK error, but their
+        # condition numbers (up to 1e19) exceed the command's limit.
+        E, F = demo_grids()
+        spath = tmp_path / "samples.bin"
+        save_samples(spath, SampleArray(np.ones((E.N, len(E.points)), dtype=complex), E))
+        rc = main(["interpolate", str(spath), "--out", str(tmp_path / "o.bin")])
+        err = capsys.readouterr().err
+        assert rc == 4
+        assert err.startswith("well-posedness error:") and "Traceback" not in err
+        assert not (tmp_path / "o.bin").exists()
+
 
 _IMPORT_PROBE = """
 import sys
@@ -198,13 +212,13 @@ spath, out = sys.argv[1], sys.argv[2]
 print("probe", scipy_modules())
 rc = main(["approximate", spath, "--out", out, "--weights", "zero"])
 print("probe", rc, scipy_modules())
-print("probe", main(["interpolate", spath, "--out", out]))
+print("probe", main(["interpolate", spath, "--out", out]), scipy_modules())
 """
 
 
 def test_approximate_does_not_import_scipy(tmp_path):
-    # Only interpolation uses scipy; importing the CLI and fitting by
-    # approximation stay on numpy and do not pay for loading scipy.
+    # Importing the CLI and fitting by approximation or interpolation stay on
+    # numpy and do not pay for loading scipy.
     E = build_polar_grid(2, [0.5, 1.1, 2.0], 4, kind="spatial")
     spath = tmp_path / "samples.bin"
     save_samples(spath, evaluate_fast(
@@ -218,7 +232,7 @@ def test_approximate_does_not_import_scipy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     probes = [line for line in proc.stdout.splitlines() if line.startswith("probe ")]
-    assert probes == ["probe []", "probe 0 []", "probe 0"]
+    assert probes == ["probe []", "probe 0 []", "probe 0 []"]
 
 
 class TestBenchCommand:
@@ -252,6 +266,13 @@ class TestVerifyRepCommand:
         assert rc == 0
         out = capsys.readouterr().out
         assert "commutant dimension:    1" in out
+
+    @pytest.mark.parametrize("N", ["0", "-3"])
+    def test_bad_N_exit_2(self, capsys, N):
+        rc = main(["verify-rep", "--N", N, "--seeds", "2"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("usage error:") and "Traceback" not in err
 
 
 class TestDemoImageCommand:

@@ -87,6 +87,23 @@ class TestRepMatrix:
             expected[h, (h - 1) % 4] = 1.0
         np.testing.assert_allclose(T, expected, atol=1e-15)
 
+    @given(
+        N=st.integers(1, 12),
+        k=st.integers(-20, 20),
+        x=st.tuples(st.floats(-3, 3), st.floats(-3, 3)),
+        lam=st.tuples(st.floats(0.1, 2), st.floats(-2, 2)),
+    )
+    @settings(max_examples=100)
+    def test_matches_row_loop(self, N, k, x, lam):
+        # The defining formula, one row at a time with a 2x2 rotation matrix.
+        want = np.zeros((N, N), dtype=complex)
+        for h in range(N):
+            c, s = math.cos(TWO_PI * h / N), math.sin(TWO_PI * h / N)
+            want[h, (h - k) % N] = np.exp(1j * float(np.array([[c, -s], [s, c]]) @ lam @ x))
+        got = rep_matrix(lam, GroupElement(k, x), N)
+        assert np.array_equal(got != 0, want != 0)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
     def test_zero_frequency_rejected(self):
         with pytest.raises(TrivialStabilizer):
             rep_matrix((0.0, 0.0), GroupElement(0, (1.0, 0.0)), 4)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from rotap import (
     ApCoefficients,
+    FourierBesselBlocks,
     GridMismatch,
     RotInvariantGrid,
     SampleArray,
@@ -28,8 +29,9 @@ from rotap import (
     translate_coefficients,
 )
 from rotap.grids import SlicePoint
+from rotap.harness import square_bench_grids
 
-from conftest import random_coefficients, random_slice_grid, square_grid_pair
+from conftest import demo_grids, random_coefficients, random_slice_grid, square_grid_pair
 
 
 def brute_force_eval(coeffs, E):
@@ -161,7 +163,6 @@ class TestPrefactorize:
         fact = prefactorize(assemble_blocks(E, F), "interpolation")
         assert fact.conditions == (1.0,)
 
-    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
     def test_duplicated_point_is_singular(self):
         # Bypass grid validation to plant two identical spatial points.
         pts = (SlicePoint(1.0, 0.1), SlicePoint(1.0, 0.1))
@@ -170,6 +171,19 @@ class TestPrefactorize:
         with pytest.raises(WellPosednessError) as exc:
             prefactorize(assemble_blocks(E, F), "interpolation")
         assert 0 <= exc.value.bin_index < 4
+
+    def test_first_singular_bin_is_named(self, rng):
+        # Only bins 2 and 3 are singular; the stacked inverse fails as a
+        # whole, and the error must still name bin 2.
+        blocks = assemble_blocks(random_slice_grid(rng, 5, 3), random_slice_grid(rng, 5, 3, "frequency"))
+        stack = blocks.blocks.copy()
+        stack[2, 1] = stack[2, 0]
+        stack[3] = 0
+        singular = FourierBesselBlocks(5, stack, blocks.spatial_grid, blocks.frequency_grid)
+        with pytest.raises(WellPosednessError) as exc:
+            prefactorize(singular, "interpolation")
+        assert exc.value.bin_index == 2
+        assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
 
     def test_duplicated_point_approximation_is_singular(self):
         # J* J is exactly singular, so the Cholesky factorization itself fails.
@@ -197,6 +211,30 @@ class TestPrefactorize:
             assert fact.conditions[n_hat] == pytest.approx((diag.max() / diag.min()) ** 2, rel=1e-12)
             want = scipy.linalg.cho_solve((c, low), adjoint)
             assert np.abs(fact.operators[n_hat] - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_interpolation_matches_lu_reference(self, rng):
+        import scipy.linalg
+
+        E = random_slice_grid(rng, 8, 6)
+        F = random_slice_grid(rng, 8, 6, "frequency")
+        blocks = assemble_blocks(E, F)
+        fact = prefactorize(blocks, "interpolation")
+        assert fact.operators.shape == (8, 6, 6) and fact.operators.flags.c_contiguous
+        for n_hat, b in enumerate(blocks.blocks):
+            want = scipy.linalg.lu_solve(scipy.linalg.lu_factor(b), np.eye(6))
+            assert np.abs(fact.operators[n_hat] - want).max() <= 1e-12 * np.abs(want).max()
+            kappa_1 = np.linalg.norm(b, 1) * np.linalg.norm(want, 1)
+            assert fact.conditions[n_hat] == pytest.approx(kappa_1, rel=1e-12)
+
+    @pytest.mark.parametrize("Q", [32, 64, 128, None], ids=["bench-Q32", "bench-Q64", "bench-Q128", "demo"])
+    def test_interpolation_conditions_track_cond(self, Q):
+        # kappa_1 and kappa_2 agree within a factor Q, also on blocks that are
+        # singular to working precision (bench-Q32 bin 32, the demo grid),
+        # which the library reports rather than rejects.
+        E, F = square_bench_grids(64, Q) if Q else demo_grids()
+        blocks = assemble_blocks(E, F)
+        ratio = np.asarray(prefactorize(blocks, "interpolation").conditions) / np.linalg.cond(blocks.blocks)
+        assert np.all((1 / blocks.Q <= ratio) & (ratio <= blocks.Q))
 
     def test_polar_grid_conditions_finite(self):
         E, F = square_grid_pair(8, [1.0, 2.0])
