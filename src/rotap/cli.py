@@ -1,23 +1,23 @@
 """Command-line frontend.
 
 Subcommands: grid, evaluate, interpolate, approximate, demo-image, bench,
-verify-rep.  Exit codes: 0 ok, 2 usage, 3 grid error, 4 well-posedness,
-5 I/O error.
+verify-rep.  Exit codes: 0 ok, 1 a verify-rep check failed, 2 usage, 3 grid
+error, 4 well-posedness, 5 I/O error.  Each RotapError class carries its code
+and stderr label; main() maps them, and OSError to 5, in one place.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 
 import numpy as np
 
 from . import __version__
 from .bessel import assemble_blocks
-from .errors import DomainError, GridError, GridMismatch, ParseError, WellPosednessError
-from .grids import build_polar_grid, canonicalize, load_grid, save_grid, RotInvariantGrid
+from .errors import DomainError, ParseError, RotapError, WellPosednessError
+from .grids import build_polar_grid, canonicalize, load_grid, load_points, save_grid, RotInvariantGrid
 from .group_reps import (
     GroupElement,
     check_homomorphism,
@@ -43,12 +43,6 @@ from .transform import (
     translate_coefficients,
 )
 
-EXIT_OK = 0
-EXIT_USAGE = 2
-EXIT_GRID = 3
-EXIT_WELLPOSED = 4
-EXIT_IO = 5
-
 # Largest per-bin condition number a solve command accepts.
 CONDITION_LIMIT = 1e12
 
@@ -60,25 +54,20 @@ def _parse_radii(text: str) -> list[float]:
 def cmd_grid(args) -> int:
     if args.polar:
         if args.rays is None or args.radii is None or args.N is None:
-            print("grid --polar requires --rays, --radii and --N", file=sys.stderr)
-            return EXIT_USAGE
-        grid = build_polar_grid(args.rays, _parse_radii(args.radii), args.N, kind=args.kind)
+            raise DomainError("grid --polar requires --rays, --radii and --N")
+        grid = build_polar_grid(args.rays, args.radii, args.N, kind=args.kind)
     elif args.from_points:
-        with open(args.from_points) as fh:
-            data = json.load(fh)
-        pts = data["points"] if isinstance(data, dict) else data
-        N = args.N if args.N is not None else data.get("N")
+        pts, N = load_points(args.from_points)
+        N = args.N if args.N is not None else N
         if N is None:
-            print("grid --from-points requires --N (or an N field in the file)", file=sys.stderr)
-            return EXIT_USAGE
+            raise DomainError("grid --from-points requires --N (or an N field in the file)")
         grid = canonicalize(pts, N, kind=args.kind)
     else:
-        print("grid requires --polar or --from-points", file=sys.stderr)
-        return EXIT_USAGE
+        raise DomainError("grid requires --polar or --from-points")
     if args.out:
         save_grid(grid, args.out)
     print(f"grid: N={grid.N} kind={grid.kind} slice-points={len(grid.points)}")
-    return EXIT_OK
+    return 0
 
 
 def _frequency_twin(grid: RotInvariantGrid) -> RotInvariantGrid:
@@ -94,10 +83,7 @@ def _load_weights(args, F: RotInvariantGrid) -> Weights:
             arr = np.loadtxt(args.weights, delimiter=",", ndmin=2)
         except ValueError as exc:
             raise ParseError(f"{args.weights}: {exc}") from exc
-        try:
-            return Weights(arr)
-        except ValueError as exc:
-            raise DomainError(f"{args.weights}: {exc}") from exc
+        return Weights(arr)
     if args.weights_scheme == "paper":
         return banded_weights(F, args.alpha)
     return Weights.zero(F.N, len(F.points))
@@ -117,7 +103,15 @@ def cmd_evaluate(args) -> int:
             print(f"oracle max relative deviation: {dev:.3e}")
     save_samples(args.out, samples)
     print(f"evaluated {samples.values.shape} samples -> {args.out}")
-    return EXIT_OK
+    return 0
+
+
+def _ill_conditioned(fact) -> WellPosednessError | None:
+    """The error naming the worst-conditioned bin of ``fact``, if its condition exceeds CONDITION_LIMIT."""
+    worst = int(np.argmax(fact.conditions))
+    if fact.conditions[worst] > CONDITION_LIMIT:
+        return WellPosednessError(worst, fact.conditions[worst])
+    return None
 
 
 def _solve_command(args, mode: str) -> int:
@@ -126,9 +120,8 @@ def _solve_command(args, mode: str) -> int:
     blocks = assemble_blocks(samples.spatial_grid, F)
     weights = _load_weights(args, F) if mode == "approximation" else None
     fact = prefactorize(blocks, mode, weights)
-    worst = int(np.argmax(fact.conditions))
-    if fact.conditions[worst] > CONDITION_LIMIT:
-        raise WellPosednessError(worst, fact.conditions[worst])
+    if (err := _ill_conditioned(fact)) is not None:
+        raise err
     coeffs = interpolate(samples, fact) if mode == "interpolation" else approximate(samples, fact)
     if args.check_oracle:
         ref = evaluate_naive(coeffs, samples.spatial_grid)
@@ -137,7 +130,7 @@ def _solve_command(args, mode: str) -> int:
         print(f"oracle max relative deviation: {dev:.3e}")
     save_coefficients(args.out, coeffs)
     print(f"{mode} solved: coefficients {coeffs.values.shape} -> {args.out}")
-    return EXIT_OK
+    return 0
 
 
 def cmd_interpolate(args) -> int:
@@ -149,11 +142,7 @@ def cmd_approximate(args) -> int:
 
 
 def cmd_demo_image(args) -> int:
-    try:
-        img = load_image(args.image)
-    except (OSError, ParseError) as exc:
-        print(f"cannot read image: {exc}", file=sys.stderr)
-        return EXIT_IO
+    img = load_image(args.image)
     E = load_grid(args.grid)
     F = _frequency_twin(E)
     scale = args.scale
@@ -169,6 +158,8 @@ def cmd_demo_image(args) -> int:
     outputs = {}
     for mode in ("interpolation", "approximation"):
         fact = prefactorize(blocks, mode, weights if mode == "approximation" else None)
+        if (err := _ill_conditioned(fact)) is not None:
+            print(f"warning: {mode} may be inaccurate: {err}", file=sys.stderr)
         coeffs = interpolate(samples, fact) if mode == "interpolation" else approximate(samples, fact)
         ev = evaluate_fast(coeffs, blocks)
         ev_rot = evaluate_fast(rotate_coefficients(coeffs, m_rot), blocks)
@@ -199,13 +190,13 @@ def cmd_demo_image(args) -> int:
             save_samples(f"{args.out_prefix}.{mode}.eval.bin", ev)
             save_samples(f"{args.out_prefix}.{mode}.rotated.bin", ev_rot)
             save_samples(f"{args.out_prefix}.{mode}.translated.bin", ev_tr)
-    return EXIT_OK
+    return 0
 
 
 def cmd_bench(args) -> int:
     if args.optimal_N is not None:
         print(optimal_N(args.optimal_N))
-        return EXIT_OK
+        return 0
     report = bench_evaluate(args.N, args.Q, repetitions=args.repetitions)
     if args.out:
         report.write_csv(args.out)
@@ -228,7 +219,7 @@ def cmd_bench(args) -> int:
                     f" min_dist_E={rep.min_distance_spatial:.3e}"
                     f" min_dist_F={rep.min_distance_frequency:.3e}"
                 )
-    return EXIT_OK
+    return 0
 
 
 def cmd_verify_rep(args) -> int:
@@ -256,7 +247,7 @@ def cmd_verify_rep(args) -> int:
     print(f"unitarity max error:    {worst_uni:.3e}")
     print(f"commutant dimension:    {dim}")
     ok = worst_hom < 1e-12 and worst_uni < 1e-12 and dim == 1
-    return EXIT_OK if ok else 1
+    return 0 if ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -268,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--polar", action="store_true")
     p.add_argument("--from-points", metavar="PATH")
     p.add_argument("--rays", type=int)
-    p.add_argument("--radii", type=str)
+    p.add_argument("--radii", type=_parse_radii)
     p.add_argument("--N", type=int)
     p.add_argument("--kind", choices=("spatial", "frequency"), default="spatial")
     p.add_argument("--out", type=str)
@@ -287,11 +278,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("samples")
         p.add_argument("--frequency-grid")
         p.add_argument("--out", required=True)
-        p.add_argument("--weights", help='"zero" or a CSV matrix path')
-        p.add_argument("--weights-scheme", choices=("paper",))
-        p.add_argument("--alpha", type=float, default=100.0)
         p.add_argument("--check-oracle", action="store_true")
         p.set_defaults(func=fn)
+        if name == "approximate":
+            p.add_argument("--weights", help='"zero" or a CSV matrix path')
+            p.add_argument("--weights-scheme", choices=("paper",))
+            p.add_argument("--alpha", type=float, default=100.0)
 
     p = sub.add_parser("demo-image", help="image round-trip norm table")
     p.add_argument("image")
@@ -325,22 +317,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DomainError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (GridError, GridMismatch) as exc:
-        print(f"grid error: {exc}", file=sys.stderr)
-        return EXIT_GRID
-    except WellPosednessError as exc:
-        print(f"well-posedness error: {exc}", file=sys.stderr)
-        return EXIT_WELLPOSED
-    except (OSError, ParseError) as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    except RotapError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
+    except OSError as exc:  # a file that cannot be opened, read or written
+        print(f"{ParseError.label}: {exc}", file=sys.stderr)
+        return ParseError.exit_code
 
 
 if __name__ == "__main__":

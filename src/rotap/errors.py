@@ -2,11 +2,12 @@
 
 
 class RotapError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors; each subclass sets the CLI's ``exit_code`` and stderr ``label``."""
 
 
 class GridError(RotapError):
     """Base class for grid construction/validation failures."""
+    exit_code, label = 3, "grid error"
 
 
 class InvalidGrid(GridError):
@@ -30,14 +31,17 @@ class TrivialStabilizer(GridError):
 
 class ParseError(RotapError):
     """A persisted file could not be parsed."""
+    exit_code, label = 5, "I/O error"
 
 
 class GridMismatch(RotapError):
     """Two objects built over incompatible grids were combined."""
+    exit_code, label = 3, "grid error"
 
 
 class DomainError(RotapError, ValueError):
     """An argument fell outside the supported numeric range."""
+    exit_code, label = 2, "usage error"
 
 
 class WellPosednessError(RotapError):
@@ -45,6 +49,7 @@ class WellPosednessError(RotapError):
 
     Carries the index of the offending DFT bin.
     """
+    exit_code, label = 4, "well-posedness error"
 
     def __init__(self, bin_index, condition=None):
         self.bin_index = bin_index
@@ -57,3 +62,4 @@ class WellPosednessError(RotapError):
 
 class InsufficientSample(RotapError):
     """The group-element sample cannot certify the commutant dimension."""
+    exit_code, label = 2, "usage error"

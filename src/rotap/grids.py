@@ -236,7 +236,7 @@ def grid_from_dict(data) -> RotInvariantGrid:
         N = data["N"]
         kind = data["kind"]
         pts = tuple(SlicePoint(float(p["radius"]), float(p["angle"])) for p in data["points"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed grid record: {exc}") from exc
     if not isinstance(N, int):
         raise InvalidGrid(f"N must be a positive integer, got {N!r}")
@@ -251,10 +251,26 @@ def save_grid(grid: RotInvariantGrid, path) -> None:
         fh.write("\n")
 
 
-def load_grid(path) -> RotInvariantGrid:
+def _read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
+            return json.load(fh)
+        except ValueError as exc:  # malformed JSON, or bytes that are not UTF-8
             raise ParseError(f"{path}: {exc}") from exc
-    return grid_from_dict(data)
+
+
+def load_grid(path) -> RotInvariantGrid:
+    return grid_from_dict(_read_json(path))
+
+
+def load_points(path) -> tuple[np.ndarray, int | None]:
+    """The [x, y] pairs of a JSON list, or of an object's "points" beside an optional integer "N"."""
+    data = _read_json(path)
+    data = data if isinstance(data, dict) else {"points": data}
+    try:
+        pts = np.asarray(data["points"], dtype=float).reshape(-1, 2)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{path}: malformed points: {exc}") from exc
+    if not np.all(np.isfinite(pts)) or type(data.get("N", 0)) is not int:
+        raise ParseError(f"{path}: points must be finite [x, y] pairs and N an integer")
+    return pts, data.get("N")

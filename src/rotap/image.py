@@ -122,6 +122,8 @@ def load_csv_image(path) -> RasterImage:
         arr = np.loadtxt(path, delimiter=",", ndmin=2)
     except ValueError as exc:
         raise ParseError(f"{path}: bad CSV image: {exc}") from exc
+    if arr.size == 0 or not np.all(np.isfinite(arr)):
+        raise ParseError(f"{path}: a CSV image must be a nonempty matrix of finite values")
     peak = np.abs(arr).max()
     if peak > 1:
         arr = arr / peak

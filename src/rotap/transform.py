@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .bessel import FourierBesselBlocks
-from .errors import GridMismatch, ParseError, WellPosednessError
+from .errors import DomainError, GridMismatch, ParseError, WellPosednessError
 from .grids import RotInvariantGrid, grid_from_dict, grid_to_dict, load_grid
 
 
@@ -64,7 +64,7 @@ class Weights:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 2 or not np.all(np.isfinite(v)) or np.any(v < 0):
-            raise ValueError("weights must be a finite nonnegative N x Q matrix")
+            raise DomainError("weights must be a finite nonnegative N x Q matrix")
         object.__setattr__(self, "values", v)
 
     @classmethod

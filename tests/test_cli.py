@@ -275,18 +275,21 @@ class TestVerifyRepCommand:
         assert err.startswith("usage error:") and "Traceback" not in err
 
 
+@pytest.fixture
+def smoke_image(tmp_path):
+    """A 32 x 32 CSV image and an N=8 grid whose interpolation blocks are singular (kappa_1 5.2e17)."""
+    from rotap import save_grid, synthetic_image
+
+    ipath = tmp_path / "img.csv"
+    np.savetxt(ipath, synthetic_image(32, 32, seed=3).pixels, delimiter=",")
+    gpath = tmp_path / "grid.json"
+    save_grid(build_polar_grid(3, np.linspace(0.4, 1.4, 4), 8, kind="spatial"), gpath)
+    return ipath, gpath
+
+
 class TestDemoImageCommand:
-    def test_smoke_norm_table(self, tmp_path, capsys):
-        from rotap import synthetic_image
-
-        img = synthetic_image(32, 32, seed=3)
-        ipath = tmp_path / "img.csv"
-        np.savetxt(ipath, img.pixels, delimiter=",")
-        E = build_polar_grid(3, np.linspace(0.4, 1.4, 4), 8, kind="spatial")
-        from rotap import save_grid
-
-        gpath = tmp_path / "grid.json"
-        save_grid(E, gpath)
+    def test_smoke_norm_table(self, tmp_path, capsys, smoke_image):
+        ipath, gpath = smoke_image
         out = tmp_path / "norms.csv"
         rc = main([
             "demo-image", str(ipath), "--grid", str(gpath), "--scale", "10",
@@ -302,6 +305,20 @@ class TestDemoImageCommand:
         assert (tmp_path / "demo.interpolation.coeffs.bin").exists()
         assert (tmp_path / "demo.approximation.translated.bin").exists()
 
+    def test_ill_conditioned_fit_warns(self, capsys, smoke_image):
+        ipath, gpath = smoke_image
+        rc = main(["demo-image", str(ipath), "--grid", str(gpath), "--scale", "10", "--alpha", "100"])
+        captured = capsys.readouterr()
+        assert rc == 0
+        # One stderr line names the worst interpolation bin; approximation is
+        # well conditioned and the stdout table keeps its three 5-column rows.
+        (warning,) = captured.err.splitlines()
+        assert warning.startswith("warning: interpolation may be inaccurate: block for DFT bin ")
+        assert "condition estimate" in warning
+        rows = [line.split("\t") for line in captured.out.splitlines()]
+        assert [row[0] for row in rows] == ["mode", "interpolation", "approximation"]
+        assert all(len(row) == 5 for row in rows)
+
     def test_missing_image_exit_5(self, tmp_path):
         E = build_polar_grid(1, [1.0], 4)
         from rotap import save_grid
@@ -309,3 +326,67 @@ class TestDemoImageCommand:
         gpath = tmp_path / "grid.json"
         save_grid(E, gpath)
         assert main(["demo-image", str(tmp_path / "none.pgm"), "--grid", str(gpath)]) == 5
+
+
+def assert_error(capsys, rc, code, prefix):
+    err = capsys.readouterr().err
+    assert rc == code
+    assert err.startswith(prefix) and "Traceback" not in err
+
+
+class TestErrorContract:
+    """Inputs that once ended in a Python traceback with exit 1."""
+
+    @pytest.fixture
+    def spath(self, tmp_path):
+        E = build_polar_grid(1, [0.5, 1.5], 4, kind="spatial")
+        spath = tmp_path / "s.bin"
+        save_samples(spath, SampleArray(np.ones((4, 2), dtype=complex), E))
+        return spath
+
+    @pytest.mark.parametrize("alpha", ["-1", "nan", "inf"])
+    def test_bad_alpha_exit_2(self, tmp_path, capsys, spath, smoke_image, alpha):
+        out = str(tmp_path / "o.bin")
+        rc = main(["approximate", str(spath), "--weights-scheme", "paper", "--alpha", alpha, "--out", out])
+        assert_error(capsys, rc, 2, "usage error:")
+        ipath, gpath = smoke_image
+        rc = main(["demo-image", str(ipath), "--grid", str(gpath), "--alpha", alpha])
+        assert_error(capsys, rc, 2, "usage error:")
+
+    @pytest.mark.parametrize(
+        "text, code, prefix",
+        [
+            ("[[1, 0], [0, 1], [-1, 0], [0, -1]]", 2, "usage error:"),
+            ('{"N": 4}', 5, "I/O error:"),
+            ('{"N": 4, "points": [[1, 0], [0, 1]', 5, "I/O error:"),
+            ('{"N": 4, "points": [1, 0, 0, 1, -1]}', 5, "I/O error:"),
+        ],
+        ids=["list-without-N", "no-points", "malformed-json", "odd-coordinates"],
+    )
+    def test_bad_points_file_exit_code(self, tmp_path, capsys, text, code, prefix):
+        src = tmp_path / "pts.json"
+        src.write_text(text)
+        assert_error(capsys, main(["grid", "--from-points", str(src)]), code, prefix)
+
+    @pytest.mark.filterwarnings("ignore:loadtxt")
+    @pytest.mark.parametrize("pixels", ["", "0.1,nan\n0.2,0.3\n"], ids=["empty", "nan"])
+    def test_bad_csv_image_exit_5(self, tmp_path, capsys, smoke_image, pixels):
+        _, gpath = smoke_image
+        ipath = tmp_path / "bad.csv"
+        ipath.write_text(pixels)
+        assert_error(capsys, main(["demo-image", str(ipath), "--grid", str(gpath)]), 5, "I/O error:")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["grid", "--polar", "--rays", "1", "--radii", "a,b", "--N", "4"], "argument --radii: invalid"),
+            (["interpolate", "s.bin", "--out", "o.bin", "--alpha", "1"], "unrecognized arguments: --alpha 1"),
+        ],
+        ids=["radii", "interpolate-alpha"],
+    )
+    def test_bad_argument_exit_2(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 2
+        assert message in err and "Traceback" not in err

@@ -14,7 +14,9 @@ from rotap import (
 )
 from rotap.bessel import FourierBesselBlocks
 from rotap.grids import RotInvariantGrid, SlicePoint
-from rotap.harness import square_bench_grids
+from rotap.harness import _min_pairwise_distance, square_bench_grids
+
+from conftest import random_slice_grid
 
 
 class TestOptimalN:
@@ -55,6 +57,16 @@ class TestConditioningReport:
         F = build_polar_grid(1, [1.0], 8, kind="frequency")
         rep = conditioning_report(assemble_blocks(E, F))
         assert rep.min_distance_spatial == pytest.approx(1e-6, rel=1e-3)
+
+
+@pytest.mark.parametrize("N, count, kind", [(1, 5, "spatial"), (3, 4, "spatial"), (6, 3, "frequency"), (8, 1, "frequency")])
+def test_min_pairwise_distance_matches_all_pairs(rng, N, count, kind):
+    for _ in range(5):
+        full = random_slice_grid(rng, N, count, kind).full_xy()
+        pts = full.reshape(-1, 2)
+        d = np.hypot(pts[:, None, 0] - pts[None, :, 0], pts[:, None, 1] - pts[None, :, 1])
+        np.fill_diagonal(d, np.inf)
+        assert _min_pairwise_distance(full) == pytest.approx(d.min(), rel=1e-12)
 
 
 class TestBenchEvaluate:
