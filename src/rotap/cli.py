@@ -142,6 +142,8 @@ def cmd_approximate(args) -> int:
 
 
 def cmd_demo_image(args) -> int:
+    if not np.all(np.isfinite([args.scale, *args.shift])):
+        raise DomainError("--scale and --shift must be finite")
     img = load_image(args.image)
     E = load_grid(args.grid)
     F = _frequency_twin(E)

@@ -98,22 +98,34 @@ class RotInvariantGrid:
 
     def full_xy(self) -> np.ndarray:
         """The full point set as an (N, P, 2) array; row n is the slice rotated by 2*pi*n/N."""
-        base = self.slice_xy()
-        out = np.empty((self.N, len(self.points), 2))
-        for n in range(self.N):
-            t = TWO_PI * n / self.N
-            c, s = math.cos(t), math.sin(t)
-            out[n, :, 0] = c * base[:, 0] - s * base[:, 1]
-            out[n, :, 1] = s * base[:, 0] + c * base[:, 1]
-        return out
+        t = TWO_PI * np.arange(self.N) / self.N
+        c, s = np.cos(t)[:, None], np.sin(t)[:, None]
+        x, y = self.slice_xy().T
+        return np.stack([c * x - s * y, s * x + c * y], axis=-1)
 
-    def same_geometry(self, other: "RotInvariantGrid", tol: float = 0.0) -> bool:
-        if self.N != other.N or len(self.points) != len(other.points):
-            return False
-        for p, q in zip(self.points, other.points):
-            if abs(p.radius - q.radius) > tol or abs(p.angle - q.angle) > tol:
-                return False
-        return True
+    def same_geometry(self, other: "RotInvariantGrid") -> bool:
+        return self.N == other.N and self.points == other.points
+
+
+def _fold(xy, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rotation indices, radii and slice angles of the planar points ``xy``.
+
+    Point m is ``R_{2*pi*idx[m]/N}`` applied to the slice point
+    ``(radius[m], angle[m])``; the origin folds to index 0, angle 0.
+    """
+    xy = np.asarray(xy, dtype=float).reshape(-1, 2)
+    if not np.all(np.isfinite(xy)):
+        raise InvalidGrid("points must be finite")
+    radius = np.hypot(xy[:, 0], xy[:, 1])
+    theta = np.arctan2(xy[:, 1], xy[:, 0]) % TWO_PI
+    width = TWO_PI / N
+    idx = theta // width
+    rem = np.maximum(theta - idx * width, 0.0)
+    snap = width - rem <= ANGLE_TOL
+    origin = radius == 0.0
+    rem[snap | origin] = 0.0
+    idx = np.where(origin, 0, (idx + snap).astype(int) % N)
+    return idx, radius, rem
 
 
 def slice_of(point, N: int) -> tuple[int, SlicePoint]:
@@ -123,20 +135,8 @@ def slice_of(point, N: int) -> tuple[int, SlicePoint]:
     ``point = R_{2*pi*rotation_index/N} slice_point``.  The origin maps to
     index 0 with radius 0 by convention.
     """
-    x, y = float(point[0]), float(point[1])
-    radius = math.hypot(x, y)
-    if radius == 0.0:
-        return 0, SlicePoint(0.0, 0.0)
-    theta = math.atan2(y, x) % TWO_PI
-    width = TWO_PI / N
-    idx = int(theta // width)
-    rem = theta - idx * width
-    if rem < 0.0:
-        rem = 0.0
-    if width - rem <= ANGLE_TOL:
-        rem = 0.0
-        idx += 1
-    return idx % N, SlicePoint(radius, rem)
+    (idx,), (radius,), (angle,) = _fold(point, N)
+    return int(idx), SlicePoint(float(radius), float(angle))
 
 
 def build_polar_grid(num_rays_per_slice: int, radii, N: int, kind: str = "spatial") -> RotInvariantGrid:
@@ -168,58 +168,35 @@ def build_polar_grid(num_rays_per_slice: int, radii, N: int, kind: str = "spatia
 def canonicalize(points, N: int, kind: str = "spatial") -> RotInvariantGrid:
     """Fold a full rotation-invariant point set into its slice representation.
 
-    The input must be invariant (within ``INVARIANCE_TOL``) under rotation by
-    2*pi/N; otherwise :class:`NotInvariant` is raised with a witness point.
+    Points within ``INVARIANCE_TOL`` of each other once folded form one
+    orbit.  The set is invariant under rotation by 2*pi/N exactly when every
+    orbit has N members at the N distinct rotation indices; otherwise
+    :class:`NotInvariant` is raised with the orbit's first point as the
+    witness.  Each orbit is represented by its member at rotation index 0,
+    in order of first appearance; the origin passes through as itself.
     """
     if N < 1:
         raise InvalidGrid("N must be >= 1")
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    if pts.size == 0:
-        return RotInvariantGrid(N, (), kind).validate()
+    idx, radius, angle = _fold(pts, N)
+    origin = radius <= DUPLICATE_TOL
+    if kind == "frequency" and origin.any():
+        raise TrivialStabilizer("frequency grids cannot contain the origin")
 
-    if kind == "frequency":
-        radii = np.hypot(pts[:, 0], pts[:, 1])
-        if np.any(radii <= DUPLICATE_TOL):
-            raise TrivialStabilizer("frequency grids cannot contain the origin")
-
-    # Invariance: the image of every point under one rotation step must be present.
-    t = TWO_PI / N
-    c, s = math.cos(t), math.sin(t)
-    rotated = np.column_stack([c * pts[:, 0] - s * pts[:, 1], s * pts[:, 0] + c * pts[:, 1]])
-    for i in range(len(pts)):
-        d2 = (pts[:, 0] - rotated[i, 0]) ** 2 + (pts[:, 1] - rotated[i, 1]) ** 2
-        if d2.min() > INVARIANCE_TOL**2:
-            raise NotInvariant(pts[i])
-
-    # Fold and cluster: each non-origin orbit must contribute exactly N points.
-    folded = [slice_of(p, N) for p in pts]
-    used = [False] * len(pts)
+    x, y = radius * np.cos(angle), radius * np.sin(angle)
+    free = ~origin
     slice_points: list[SlicePoint] = []
-    for i, (idx_i, sp_i) in enumerate(folded):
-        if used[i]:
-            continue
-        members = [
-            j
-            for j, (idx_j, sp_j) in enumerate(folded)
-            if not used[j]
-            and math.hypot(
-                sp_j.radius * math.cos(sp_j.angle) - sp_i.radius * math.cos(sp_i.angle),
-                sp_j.radius * math.sin(sp_j.angle) - sp_i.radius * math.sin(sp_i.angle),
-            )
-            <= INVARIANCE_TOL
-        ]
-        for j in members:
-            used[j] = True
-        if sp_i.radius <= DUPLICATE_TOL:
-            if len(members) != 1:
-                raise InvalidGrid("the origin may appear at most once")
+    for i in range(len(pts)):
+        if origin[i]:
             slice_points.append(SlicePoint(0.0, 0.0))
-            continue
-        if len(members) != N or len({folded[j][0] for j in members}) != N:
-            raise NotInvariant(pts[i], f"orbit of {tuple(pts[i])} has {len(members)} of {N} points")
-        # Representative: the member sitting at rotation index 0.
-        rep = min(members, key=lambda j: folded[j][0])
-        slice_points.append(folded[rep][1])
+        elif free[i]:
+            orbit = free & (np.hypot(x - x[i], y - y[i]) <= INVARIANCE_TOL)
+            free &= ~orbit
+            if not np.array_equal(np.sort(idx[orbit]), np.arange(N)):
+                witness = tuple(pts[i].tolist())
+                raise NotInvariant(witness, f"orbit of {witness} has {orbit.sum()} of {N} points")
+            rep = np.flatnonzero(orbit & (idx == 0))[0]
+            slice_points.append(SlicePoint(float(radius[rep]), float(angle[rep])))
     return RotInvariantGrid(N, tuple(slice_points), kind).validate()
 
 

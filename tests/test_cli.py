@@ -329,9 +329,11 @@ class TestDemoImageCommand:
 
 
 def assert_error(capsys, rc, code, prefix):
-    err = capsys.readouterr().err
+    """Check the exit code and stderr prefix; return stdout."""
+    out, err = capsys.readouterr()
     assert rc == code
     assert err.startswith(prefix) and "Traceback" not in err
+    return out
 
 
 class TestErrorContract:
@@ -352,6 +354,16 @@ class TestErrorContract:
         ipath, gpath = smoke_image
         rc = main(["demo-image", str(ipath), "--grid", str(gpath), "--alpha", alpha])
         assert_error(capsys, rc, 2, "usage error:")
+
+    @pytest.mark.parametrize(
+        "geometry",
+        [["--scale", "nan"], ["--scale", "inf"], ["--shift", "nan", "0"]],
+        ids=["scale-nan", "scale-inf", "shift-nan"],
+    )
+    def test_bad_demo_geometry_exit_2(self, capsys, smoke_image, geometry):
+        ipath, gpath = smoke_image
+        rc = main(["demo-image", str(ipath), "--grid", str(gpath), *geometry])
+        assert assert_error(capsys, rc, 2, "usage error:") == ""
 
     @pytest.mark.parametrize(
         "text, code, prefix",

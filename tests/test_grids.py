@@ -20,6 +20,8 @@ from rotap import (
     slice_of,
 )
 
+from conftest import random_slice_grid
+
 TWO_PI = 2 * math.pi
 
 
@@ -108,6 +110,12 @@ class TestCanonicalize:
             canonicalize([(1, 0), (0, 1)], 4)
         assert exc.value.witness is not None
 
+    def test_repeated_point_is_not_an_orbit(self):
+        # N points, but two at rotation index 0 and none at index 1.
+        with pytest.raises(NotInvariant) as exc:
+            canonicalize([(1, 0), (1, 0), (-1, 0), (0, -1)], 4)
+        assert exc.value.witness == (1.0, 0.0)
+
     def test_roundtrip_with_builder(self, rng):
         g = build_polar_grid(2, [1.0, 2.0], 8)
         full = g.full_xy().reshape(-1, 2)
@@ -126,6 +134,52 @@ class TestCanonicalize:
     def test_origin_once_in_spatial_grid(self):
         g = canonicalize([(0.0, 0.0), (1, 0), (0, 1), (-1, 0), (0, -1)], 4)
         assert len(g.points) == 2
+
+    @pytest.mark.parametrize(
+        "point", [(math.nan, 0.0), (math.inf, 0.0), (0.0, -math.inf)], ids=["nan", "inf", "minus-inf"]
+    )
+    def test_non_finite_point_rejected(self, point):
+        with pytest.raises(InvalidGrid):
+            canonicalize([point], 4)
+        with pytest.raises(InvalidGrid):
+            slice_of(point, 4)
+
+    @given(
+        N=st.integers(1, 12),
+        count=st.integers(1, 6),
+        kind=st.sampled_from(["spatial", "frequency"]),
+        with_origin=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_shuffled_full_set(self, N, count, kind, with_origin, seed):
+        # The slice points come back in order of first appearance; a point
+        # missing from one orbit is reported by a witness from that orbit.
+        rng = np.random.default_rng(seed)
+        g = random_slice_grid(rng, N, count, kind)
+        if with_origin and kind == "spatial":
+            g = RotInvariantGrid(N, g.points + (SlicePoint(0.0, 0.0),), kind).validate()
+        keep = np.ones((N, len(g)), dtype=bool)
+        keep[1:, [p.radius == 0 for p in g.points]] = False  # the origin once, not N times
+        order = rng.permutation(int(keep.sum()))
+        pts = g.full_xy()[keep][order]
+        labels = np.broadcast_to(np.arange(len(g)), keep.shape)[keep][order]
+
+        got = canonicalize(pts, N, kind)
+        expected = [g.points[k] for k in dict.fromkeys(labels.tolist())]
+        np.testing.assert_allclose(
+            [(p.radius, p.angle) for p in got.points],
+            [(p.radius, p.angle) for p in expected],
+            rtol=0,
+            atol=1e-12,
+        )
+
+        if N > 1:
+            cut = rng.choice(np.flatnonzero([g.points[k].radius > 0 for k in labels]))
+            rest, rest_labels = np.delete(pts, cut, axis=0), np.delete(labels, cut)
+            with pytest.raises(NotInvariant) as exc:
+                canonicalize(rest, N, kind)
+            assert exc.value.witness in {tuple(p) for p in rest[rest_labels == labels[cut]].tolist()}
 
     @given(n_jitter=st.integers(0, 3))
     @settings(max_examples=20, deadline=None)
