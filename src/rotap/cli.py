@@ -24,7 +24,7 @@ from .group_reps import (
     check_unitary,
     commutant_dimension,
 )
-from .harness import bench_evaluate, conditioning_report, optimal_N
+from .harness import bench_evaluate, bench_solve_scaling, conditioning_report, optimal_N, square_bench_grids
 from .image import bilinear_sample, load_image
 from .transform import (
     SampleArray,
@@ -153,7 +153,7 @@ def cmd_demo_image(args) -> int:
 
     blocks = assemble_blocks(E, F)
     weights = _load_weights(args, F)
-    m_rot = args.rot_steps if args.rot_steps is not None else (10 if E.N == 64 else max(1, E.N // 6))
+    m_rot = args.rot_steps if args.rot_steps is not None else max(1, E.N // 6)
     xi = np.array(args.shift)
 
     rows = []
@@ -202,16 +202,15 @@ def cmd_bench(args) -> int:
     report = bench_evaluate(args.N, args.Q, repetitions=args.repetitions)
     if args.out:
         report.write_csv(args.out)
-    print("\t".join(report.CSV_COLUMNS[:8] + ("speedup_with_assembly",)))
-    for r in report.records:
-        print(
-            f"{r.N}\t{r.P}\t{r.Q}\t{r.t_naive:.3e}\t{r.t_assemble:.3e}\t{r.t_fast:.3e}"
-            f"\t{r.t_prefactorize:.3e}\t{r.t_solve:.3e}"
-            f"\t{r.t_naive / (r.t_assemble + r.t_fast):.1f}"
-        )
+    for row in (report.CSV_COLUMNS, *(r.row() for r in report.records)):
+        print("\t".join(row))
+    if len(args.Q) > 1:
+        for N in args.N:
+            times = bench_solve_scaling(N, args.Q, repetitions=50)
+            qs = sorted(times)
+            for a, b in zip(qs, qs[1:]):
+                print(f"N={N} per-bin solve {a}->{b}: x{times[b] / times[a]:.2f}")
     if args.conditioning:
-        from .harness import square_bench_grids
-
         for N in args.N:
             for Q in args.Q:
                 E, F = square_bench_grids(N, Q)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import generalized_bessel
+from .bessel import _kernel_bins
 from .errors import InsufficientSample, TrivialStabilizer
 from .grids import TWO_PI, SlicePoint
 
@@ -89,7 +89,11 @@ def _axis_translation(g: GroupElement, axis: int) -> bool:
     return g.rotation == 0 and x[axis] != 0.0 and abs(other) <= 1e-12 * abs(x[axis])
 
 
-def commutant_dimension(lam, sample, N: int, rtol: float = 1e-9) -> int:
+# Singular values below this fraction of the largest count toward the commutant's null space.
+_COMMUTANT_RTOL = 1e-9
+
+
+def commutant_dimension(lam, sample, N: int) -> int:
     """Dimension of the space of matrices commuting with T(g) for every sampled g.
 
     A generic sample must contain a generating pure rotation and translations
@@ -126,26 +130,31 @@ def commutant_dimension(lam, sample, N: int, rtol: float = 1e-9) -> int:
     s = np.linalg.svd(A, compute_uv=False)
     if s.size == 0 or s.max() == 0:
         return N * N
-    return int(np.sum(s < rtol * s.max()))
+    return int(np.sum(s < _COMMUTANT_RTOL * s.max()))
 
 
-def matrix_coefficient_check(lam, m_hat: int, n_hat: int, k: int, h: int, y: SlicePoint, N: int) -> float:
-    """Error of the closed-form matrix coefficient against the direct computation.
+def matrix_coefficient_check(lam, y: SlicePoint, N: int) -> float:
+    """Largest error of the closed-form matrix coefficients against the direct computation.
 
-    The group element is g = (k, R_{2*pi*h/N} sigma(y)).  The direct side pairs
-    T(g) applied to the unnormalized character n_hat against the character
-    m_hat under the counting-measure inner product; the closed form is
-    e^{-2*pi*i*n_hat*k/N} e^{2*pi*i*(n_hat-m_hat)*h/N} J_{(n_hat-m_hat) mod N}(lam, y).
+    Over every rotation k and h, the group element is g = (k, R_{2*pi*h/N} y).
+    The direct side is C* T(g) C, where column n_hat of C is the unnormalized
+    character e^{2*pi*i*n_hat*ell/N}: entry (m_hat, n_hat) pairs T(g) applied
+    to character n_hat against character m_hat under the counting-measure
+    inner product.  The closed form is
+    e^{-2*pi*i*n_hat*k/N} e^{2*pi*i*(n_hat-m_hat)*h/N} J_{(n_hat-m_hat) mod N}(lam, y),
+    with all N kernel bins J from one kernel call.
     """
     lam = np.asarray(lam, dtype=float)
-    x = rotation_matrix(TWO_PI * h / N) @ np.asarray(y.xy())
-    T = rep_matrix(lam, GroupElement(k, (x[0], x[1])), N)
     ell = np.arange(N)
-    char_n = np.exp(2j * np.pi * n_hat * ell / N)
-    char_m = np.exp(2j * np.pi * m_hat * ell / N)
-    direct = complex((T @ char_n) @ char_m.conj())
-    xi = float(np.hypot(lam[0], lam[1]))
-    omega = float(math.atan2(lam[1], lam[0]))
-    bess = generalized_bessel((n_hat - m_hat) % N, (xi, omega), y, N)
-    formula = np.exp(-2j * np.pi * n_hat * k / N) * np.exp(2j * np.pi * (n_hat - m_hat) * h / N) * bess
-    return abs(direct - formula)
+    C = np.exp(2j * np.pi * np.outer(ell, ell) / N)
+    omega = math.atan2(lam[1], lam[0])
+    J = _kernel_bins(np.float64(np.hypot(lam[0], lam[1]) * y.radius), np.float64(y.angle - omega), N)
+    diff = ell[None, :] - ell[:, None]  # n_hat - m_hat; rows are m_hat
+    worst = 0.0
+    for h in range(N):
+        x = rotation_matrix(TWO_PI * h / N) @ np.asarray(y.xy())
+        for k in range(N):
+            direct = C.conj().T @ rep_matrix(lam, GroupElement(k, (x[0], x[1])), N) @ C
+            formula = np.exp(-2j * np.pi * ell * k / N) * np.exp(2j * np.pi * diff * h / N) * J[diff % N]
+            worst = max(worst, float(np.abs(direct - formula).max()))
+    return worst

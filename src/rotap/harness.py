@@ -1,8 +1,10 @@
 """Benchmarks and model checks for the factorized transform.
 
-Timings are wall-clock medians after an untimed first call; the claimed costs
-are treated as scaling trends, not exact FLOP targets.  Every timed fast-path
-configuration is validated against the dense oracle before timing.
+Timings are wall-clock medians from one loop, ``_median_times``, and one row
+format, ``BenchRecord.row``, serves the CSV report and ``rotap bench``.  The
+claimed costs are treated as scaling trends, not exact FLOP targets.  Every
+timed fast-path configuration is validated against the dense oracle before
+timing.
 """
 
 from __future__ import annotations
@@ -41,66 +43,57 @@ class BenchRecord:
     conditions: tuple[float, ...]
     oracle_rel_error: float
 
+    def row(self) -> list[str]:
+        """The record's fields as strings, in ``BenchReport.CSV_COLUMNS`` order."""
+        times = (self.t_naive, self.t_assemble, self.t_fast, self.t_prefactorize, self.t_solve)
+        errors = (self.oracle_rel_error, min(self.conditions), max(self.conditions))
+        return [
+            *map(str, (self.N, self.P, self.Q)),
+            *(f"{t:.6e}" for t in times),
+            *(f"{e:.3e}" for e in errors),
+            f"{self.t_naive / (self.t_assemble + self.t_fast):.1f}",
+        ]
+
 
 @dataclass
 class BenchReport:
     records: list[BenchRecord] = field(default_factory=list)
 
     CSV_COLUMNS = (
-        "N",
-        "P",
-        "Q",
-        "t_naive",
-        "t_assemble",
-        "t_fast",
-        "t_prefactorize",
-        "t_solve",
-        "oracle_rel_error",
-        "cond_min",
-        "cond_max",
+        "N", "P", "Q", "t_naive", "t_assemble", "t_fast", "t_prefactorize", "t_solve",
+        "oracle_rel_error", "cond_min", "cond_max", "speedup_with_assembly",
     )
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(self.CSV_COLUMNS)
-            for r in self.records:
-                w.writerow(
-                    [
-                        r.N,
-                        r.P,
-                        r.Q,
-                        f"{r.t_naive:.6e}",
-                        f"{r.t_assemble:.6e}",
-                        f"{r.t_fast:.6e}",
-                        f"{r.t_prefactorize:.6e}",
-                        f"{r.t_solve:.6e}",
-                        f"{r.oracle_rel_error:.3e}",
-                        f"{min(r.conditions):.3e}",
-                        f"{max(r.conditions):.3e}",
-                    ]
-                )
+            w.writerows(r.row() for r in self.records)
 
 
-def _median_time(fn, repetitions: int) -> float:
-    times = []
+def _median_times(fns: dict, repetitions: int) -> dict:
+    """Median wall time of each callable in ``fns``, under the same keys.
+
+    Each repetition times every callable in turn, so that drift in machine
+    speed, which on a shared host reaches 2x within seconds, reaches all alike.
+    """
+    times = {key: [] for key in fns}
     for _ in range(repetitions):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return float(np.median(times))
+        for key, fn in fns.items():
+            t0 = time.perf_counter()
+            fn()
+            times[key].append(time.perf_counter() - t0)
+    return {key: float(np.median(t)) for key, t in times.items()}
 
 
-def square_bench_grids(N: int, Q: int, lo: float = 1.0, hi: float | None = None):
-    """An E = F pair of polar grids with P = Q points in the slice.
+def square_bench_grids(N: int, Q: int):
+    """An E = F pair of polar grids with P = Q points in the slice, radii from 1 to 1 + max(2, Q/2).
 
-    The default radial extent grows with Q: the per-bin kernel matrices only
-    stay well-conditioned when the products xi*rho spread over a range
+    The radial extent grows with Q: the per-bin kernel matrices only stay
+    well-conditioned when the products xi*rho spread over a range
     proportional to the number of radial points being resolved.
     """
-    if hi is None:
-        hi = lo + max(2.0, Q / 2)
-    radii = np.linspace(lo, hi, Q)
+    radii = np.linspace(1.0, 1.0 + max(2.0, Q / 2), Q)
     E = build_polar_grid(1, radii, N, kind="spatial")
     F = build_polar_grid(1, radii, N, kind="frequency")
     return E, F
@@ -121,25 +114,25 @@ def bench_evaluate(N_list, Q_list, repetitions: int = 3, seed: int = 0) -> Bench
         for Q in Q_list:
             E, F = square_bench_grids(N, Q)
             blocks = assemble_blocks(E, F)
-            coeffs = ApCoefficients(
-                rng.standard_normal((N, Q)) + 1j * rng.standard_normal((N, Q)), F
-            )
+            coeffs = ApCoefficients(rng.standard_normal((N, Q)) + 1j * rng.standard_normal((N, Q)), F)
             # Correctness precedes timing.
             ref = evaluate_naive(coeffs, E)
             fast = evaluate_fast(coeffs, blocks)
-            rel = float(
-                np.linalg.norm(fast.values - ref.values) / max(np.linalg.norm(ref.values), 1e-300)
-            )
+            rel = float(np.linalg.norm(fast.values - ref.values) / max(np.linalg.norm(ref.values), 1e-300))
             fact = prefactorize(blocks, "interpolation")
             interpolate(fast, fact)
-            t_naive = _median_time(lambda: evaluate_naive(coeffs, E), repetitions)
-            t_assemble = _median_time(lambda: assemble_blocks(E, F), repetitions)
-            t_fast = _median_time(lambda: evaluate_fast(coeffs, blocks), repetitions)
-            t_pref = _median_time(lambda: prefactorize(blocks, "interpolation"), repetitions)
-            t_solve = _median_time(lambda: interpolate(fast, fact), repetitions)
-            report.records.append(
-                BenchRecord(N, Q, Q, t_naive, t_assemble, t_fast, t_pref, t_solve, fact.conditions, rel)
+            times = _median_times(
+                {
+                    "t_naive": functools.partial(evaluate_naive, coeffs, E),
+                    "t_assemble": functools.partial(assemble_blocks, E, F),
+                    "t_fast": functools.partial(evaluate_fast, coeffs, blocks),
+                    "t_prefactorize": functools.partial(prefactorize, blocks, "interpolation"),
+                    "t_solve": functools.partial(interpolate, fast, fact),
+                },
+                repetitions,
             )
+            record = BenchRecord(N, Q, Q, **times, conditions=fact.conditions, oracle_rel_error=rel)
+            report.records.append(record)
     return report
 
 
@@ -147,9 +140,7 @@ def bench_solve_scaling(N: int, Q_list, repetitions: int = 200, seed: int = 0) -
     """Median per-bin time of the production interpolation solve stage, for each Q.
 
     After prefactorization, times the call that ``interpolate`` makes between
-    its two DFTs (all N bins at once) and divides by N.  Each repetition times
-    every Q in turn, so that drift in machine speed, which on a shared host
-    reaches 2x within seconds, reaches every size alike.
+    its two DFTs (all N bins at once) and divides by N.
     """
     rng = np.random.default_rng(seed)
     solves = {}
@@ -160,13 +151,7 @@ def bench_solve_scaling(N: int, Q_list, repetitions: int = 200, seed: int = 0) -
         solves[Q] = functools.partial(_solve_bins, operators, rhs)
     for solve in solves.values():
         solve()  # warm-up, discarded
-    times = {Q: [] for Q in solves}
-    for _ in range(repetitions):
-        for Q, solve in solves.items():
-            t0 = time.perf_counter()
-            solve()
-            times[Q].append(time.perf_counter() - t0)
-    return {Q: float(np.median(t)) / N for Q, t in times.items()}
+    return {Q: t / N for Q, t in _median_times(solves, repetitions).items()}
 
 
 def optimal_N(grid_size: int) -> int:

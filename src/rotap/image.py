@@ -32,9 +32,6 @@ class RasterImage:
     def width(self) -> int:
         return self.pixels.shape[1]
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.pixels))
-
 
 def bilinear_sample(image: RasterImage, points) -> np.ndarray:
     """Sample the image at Cartesian points of any shape (..., 2)."""

@@ -71,18 +71,12 @@ class Weights:
     def zero(cls, N: int, Q: int) -> "Weights":
         return cls(np.zeros((N, Q)))
 
-    @classmethod
-    def from_radial(cls, F: RotInvariantGrid, d_of_radius) -> "Weights":
-        """Replicate a radially symmetric weight d(|Lambda|) across all DFT bins."""
-        row = np.array([d_of_radius(p.radius) for p in F.points], dtype=float)
-        return cls(np.tile(row, (F.N, 1)))
-
 
 def banded_weights(F: RotInvariantGrid, alpha: float) -> Weights:
     """The three-band radial weight scheme: alpha/10 up to radius 1, alpha up to 3/2, 100*alpha above."""
-    return Weights.from_radial(
-        F, lambda r: alpha / 10 if r <= 1 else (alpha if r <= 1.5 else 100 * alpha)
-    )
+    radii = F.slice_polar()[0]
+    row = np.where(radii <= 1, alpha / 10, np.where(radii <= 1.5, alpha, 100 * alpha))
+    return Weights(np.tile(row, (F.N, 1)))
 
 
 def dft_rotation_axis(values: np.ndarray, direction: str = "forward") -> np.ndarray:

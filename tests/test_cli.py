@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -17,6 +18,7 @@ from rotap import (
     save_coefficients,
     save_samples,
     ApCoefficients,
+    BenchReport,
     SampleArray,
 )
 from rotap.cli import main
@@ -258,6 +260,17 @@ class TestBenchCommand:
         text = capsys.readouterr().out
         assert "t_naive\tt_assemble" in text and "conditioning N=4" in text
         assert out.read_text().startswith("N,P,Q,")
+
+    def test_several_Q_print_solve_doubling(self, tmp_path, capsys):
+        out = tmp_path / "report.csv"
+        rc = main(["bench", "--N", "4", "--Q", "6", "12", "--repetitions", "3", "--out", str(out)])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "\t".join(BenchReport.CSV_COLUMNS)
+        assert sum(line.startswith("N=4 per-bin solve 6->12: x") for line in lines) == 1
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [line.split("\t") for line in lines[:3]] == rows
 
 
 class TestVerifyRepCommand:

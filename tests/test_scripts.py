@@ -14,13 +14,6 @@ def run_script(name, *args, cwd):
     )
 
 
-def test_bench_complexity(tmp_path):
-    out = tmp_path / "report.csv"
-    proc = run_script("bench_complexity.py", "--N", "4", "--Q", "8", "16", "--repetitions", "3", "--out", str(out), cwd=tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    assert out.read_text().startswith("N,P,Q,")
-
-
 def test_norm_pattern_demo(tmp_path):
     proc = run_script("norm_pattern_demo.py", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
