@@ -75,18 +75,28 @@ def _frequency_twin(grid: RotInvariantGrid) -> RotInvariantGrid:
     return RotInvariantGrid(grid.N, grid.points, "frequency").validate()
 
 
-def _load_weights(args, F: RotInvariantGrid) -> Weights:
-    if args.weights == "zero":
+def _load_weights(args, F: RotInvariantGrid, scheme: str | None = None) -> Weights:
+    """--weights, else --weights-scheme (default ``scheme``) at --alpha (default 100), else zero weights."""
+    if args.weights is not None and args.weights_scheme is not None:
+        raise DomainError("--weights and --weights-scheme exclude each other")
+    if args.weights is None and (args.weights_scheme or scheme) == "paper":
+        return banded_weights(F, 100.0 if args.alpha is None else args.alpha)
+    if args.alpha is not None:
+        raise DomainError("--alpha applies only to --weights-scheme paper")
+    if args.weights is None or args.weights == "zero":
         return Weights.zero(F.N, len(F.points))
-    if args.weights is not None:
-        try:
-            arr = np.loadtxt(args.weights, delimiter=",", ndmin=2)
-        except ValueError as exc:
-            raise ParseError(f"{args.weights}: {exc}") from exc
-        return Weights(arr)
-    if args.weights_scheme == "paper":
-        return banded_weights(F, args.alpha)
-    return Weights.zero(F.N, len(F.points))
+    try:
+        arr = np.loadtxt(args.weights, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise ParseError(f"{args.weights}: {exc}") from exc
+    return Weights(arr)
+
+
+def _print_oracle_deviation(coeffs, fast: SampleArray) -> None:
+    """Print the relative 2-norm deviation of ``fast`` from the dense oracle on its grid."""
+    ref = evaluate_naive(coeffs, fast.spatial_grid)
+    dev = np.linalg.norm(fast.values - ref.values) / max(np.linalg.norm(ref.values), 1e-300)
+    print(f"oracle max relative deviation: {dev:.3e}")
 
 
 def cmd_evaluate(args) -> int:
@@ -98,9 +108,7 @@ def cmd_evaluate(args) -> int:
         blocks = assemble_blocks(E, coeffs.frequency_grid)
         samples = evaluate_fast(coeffs, blocks)
         if args.check_oracle:
-            ref = evaluate_naive(coeffs, E)
-            dev = np.linalg.norm(samples.values - ref.values) / max(np.linalg.norm(ref.values), 1e-300)
-            print(f"oracle max relative deviation: {dev:.3e}")
+            _print_oracle_deviation(coeffs, samples)
     save_samples(args.out, samples)
     print(f"evaluated {samples.values.shape} samples -> {args.out}")
     return 0
@@ -114,31 +122,28 @@ def _ill_conditioned(fact) -> WellPosednessError | None:
     return None
 
 
-def _solve_command(args, mode: str) -> int:
+def _solve_command(args, mode: str, solve, load_weights=None) -> int:
+    """Fit the samples with ``solve`` on a ``mode`` factorization, weighted by ``load_weights(args, F)`` if given."""
     samples = load_samples(args.samples)
     F = _frequency_twin(load_grid(args.frequency_grid)) if args.frequency_grid else _frequency_twin(samples.spatial_grid)
     blocks = assemble_blocks(samples.spatial_grid, F)
-    weights = _load_weights(args, F) if mode == "approximation" else None
-    fact = prefactorize(blocks, mode, weights)
+    fact = prefactorize(blocks, mode, load_weights(args, F) if load_weights else None)
     if (err := _ill_conditioned(fact)) is not None:
         raise err
-    coeffs = interpolate(samples, fact) if mode == "interpolation" else approximate(samples, fact)
+    coeffs = solve(samples, fact)
     if args.check_oracle:
-        ref = evaluate_naive(coeffs, samples.spatial_grid)
-        fast = evaluate_fast(coeffs, blocks)
-        dev = np.linalg.norm(fast.values - ref.values) / max(np.linalg.norm(ref.values), 1e-300)
-        print(f"oracle max relative deviation: {dev:.3e}")
+        _print_oracle_deviation(coeffs, evaluate_fast(coeffs, blocks))
     save_coefficients(args.out, coeffs)
     print(f"{mode} solved: coefficients {coeffs.values.shape} -> {args.out}")
     return 0
 
 
 def cmd_interpolate(args) -> int:
-    return _solve_command(args, "interpolation")
+    return _solve_command(args, "interpolation", interpolate)
 
 
 def cmd_approximate(args) -> int:
-    return _solve_command(args, "approximation")
+    return _solve_command(args, "approximation", approximate, _load_weights)
 
 
 def cmd_demo_image(args) -> int:
@@ -147,37 +152,30 @@ def cmd_demo_image(args) -> int:
     img = load_image(args.image)
     E = load_grid(args.grid)
     F = _frequency_twin(E)
-    scale = args.scale
-    sampled = bilinear_sample(img, E.full_xy() * scale)
+    sampled = bilinear_sample(img, E.full_xy() * args.scale)
     samples = SampleArray(sampled.astype(complex), E)
 
     blocks = assemble_blocks(E, F)
-    weights = _load_weights(args, F)
+    fits = (("interpolation", interpolate, None), ("approximation", approximate, _load_weights(args, F, "paper")))
     m_rot = args.rot_steps if args.rot_steps is not None else max(1, E.N // 6)
     xi = np.array(args.shift)
 
-    rows = []
-    outputs = {}
-    for mode in ("interpolation", "approximation"):
-        fact = prefactorize(blocks, mode, weights if mode == "approximation" else None)
+    # Per mode, the named results; their names give the table header and the --out-prefix file names.
+    results = {}
+    for mode, solve, weights in fits:
+        fact = prefactorize(blocks, mode, weights)
         if (err := _ill_conditioned(fact)) is not None:
             print(f"warning: {mode} may be inaccurate: {err}", file=sys.stderr)
-        coeffs = interpolate(samples, fact) if mode == "interpolation" else approximate(samples, fact)
-        ev = evaluate_fast(coeffs, blocks)
-        ev_rot = evaluate_fast(rotate_coefficients(coeffs, m_rot), blocks)
-        ev_tr = evaluate_fast(translate_coefficients(coeffs, xi), blocks)
-        rows.append(
-            (
-                mode,
-                float(np.linalg.norm(coeffs.values)),
-                float(np.linalg.norm(ev.values)),
-                float(np.linalg.norm(ev_rot.values)),
-                float(np.linalg.norm(ev_tr.values)),
-            )
-        )
-        outputs[mode] = (coeffs, ev, ev_rot, ev_tr)
+        fit = solve(samples, fact)
+        results[mode] = {
+            "coeffs": fit,
+            "eval": evaluate_fast(fit, blocks),
+            "rotated": evaluate_fast(rotate_coefficients(fit, m_rot), blocks),
+            "translated": evaluate_fast(translate_coefficients(fit, xi), blocks),
+        }
 
-    header = ("mode", "norm_coeffs", "norm_eval", "norm_rotated", "norm_translated")
+    header = ["mode", *(f"norm_{name}" for name in results["interpolation"])]
+    rows = [[mode, *(float(np.linalg.norm(r.values)) for r in named.values())] for mode, named in results.items()]
     print("\t".join(header))
     for row in rows:
         print("\t".join([row[0]] + [f"{v:.6e}" for v in row[1:]]))
@@ -187,11 +185,10 @@ def cmd_demo_image(args) -> int:
             w.writerow(header)
             w.writerows(rows)
     if args.out_prefix:
-        for mode, (coeffs, ev, ev_rot, ev_tr) in outputs.items():
-            save_coefficients(f"{args.out_prefix}.{mode}.coeffs.bin", coeffs)
-            save_samples(f"{args.out_prefix}.{mode}.eval.bin", ev)
-            save_samples(f"{args.out_prefix}.{mode}.rotated.bin", ev_rot)
-            save_samples(f"{args.out_prefix}.{mode}.translated.bin", ev_tr)
+        for mode, named in results.items():
+            for name, r in named.items():
+                save = save_samples if isinstance(r, SampleArray) else save_coefficients
+                save(f"{args.out_prefix}.{mode}.{name}.bin", r)
     return 0
 
 
@@ -284,15 +281,15 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "approximate":
             p.add_argument("--weights", help='"zero" or a CSV matrix path')
             p.add_argument("--weights-scheme", choices=("paper",))
-            p.add_argument("--alpha", type=float, default=100.0)
+            p.add_argument("--alpha", type=float)
 
     p = sub.add_parser("demo-image", help="image round-trip norm table")
     p.add_argument("image")
     p.add_argument("--grid", required=True)
     p.add_argument("--scale", type=float, default=1.0, help="grid-to-pixel scale factor")
     p.add_argument("--weights")
-    p.add_argument("--weights-scheme", choices=("paper",), default="paper")
-    p.add_argument("--alpha", type=float, default=100.0)
+    p.add_argument("--weights-scheme", choices=("paper",))
+    p.add_argument("--alpha", type=float)
     p.add_argument("--rot-steps", type=int)
     p.add_argument("--shift", type=float, nargs=2, default=(15.0, 26.0))
     p.add_argument("--out", help="CSV path for the norm table")

@@ -38,8 +38,9 @@ def bilinear_sample(image: RasterImage, points) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     shape = pts.shape[:-1]
     pts = pts.reshape(-1, 2)
-    col = pts[:, 0] + image.width / 2.0
-    row = image.height / 2.0 - pts[:, 1]
+    # Clipping keeps far points' corners outside the image, and their int casts and weights finite.
+    col = np.clip(pts[:, 0] + image.width / 2.0, -1, image.width)
+    row = np.clip(image.height / 2.0 - pts[:, 1], -1, image.height)
     c0 = np.floor(col).astype(int)
     r0 = np.floor(row).astype(int)
     fc = col - c0

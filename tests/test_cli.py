@@ -203,6 +203,37 @@ class TestEvaluateSolveRoundtrip:
         assert not (tmp_path / "o.bin").exists()
 
 
+class TestFrequencyGrid:
+    """--frequency-grid: the CLI's only route to a fit with P != Q."""
+
+    @pytest.fixture
+    def files(self, tmp_path, rng):
+        from rotap import save_grid
+
+        E = build_polar_grid(1, np.linspace(1, 4, 12), 8, kind="spatial")
+        F = build_polar_grid(1, np.linspace(1, 4, 6), 8, kind="frequency")
+        samples = SampleArray(rng.standard_normal((8, 12)) + 1j * rng.standard_normal((8, 12)), E)
+        spath, fpath = tmp_path / "s.bin", tmp_path / "F.json"
+        save_samples(spath, samples)
+        save_grid(F, fpath)
+        return samples, F, spath, fpath
+
+    def test_approximate_P_greater_than_Q(self, files, tmp_path):
+        from rotap import Weights, approximate, prefactorize
+
+        samples, F, spath, fpath = files
+        out = tmp_path / "o.bin"
+        assert main(["approximate", str(spath), "--frequency-grid", str(fpath), "--out", str(out)]) == 0
+        blocks = assemble_blocks(samples.spatial_grid, F)
+        want = approximate(samples, prefactorize(blocks, "approximation", Weights.zero(8, 6)))
+        np.testing.assert_allclose(load_coefficients(out).values, want.values, rtol=0, atol=1e-12)
+
+    def test_interpolate_P_not_Q_exit_3(self, files, tmp_path, capsys):
+        _, _, spath, fpath = files
+        rc = main(["interpolate", str(spath), "--frequency-grid", str(fpath), "--out", str(tmp_path / "o.bin")])
+        assert_error(capsys, rc, 3, "grid error: interpolation requires P == Q")
+
+
 _IMPORT_PROBE = """
 import sys
 from rotap.cli import main
@@ -332,6 +363,39 @@ class TestDemoImageCommand:
         assert [row[0] for row in rows] == ["mode", "interpolation", "approximation"]
         assert all(len(row) == 5 for row in rows)
 
+    def test_readme_recipe_translation_pattern(self, tmp_path, capsys):
+        # The README's image-demo recipe; criterion 8's thresholds on the ratio
+        # norm_translated / norm_eval.
+        from rotap import synthetic_image
+
+        ipath, gpath = tmp_path / "synth.csv", tmp_path / "demo.json"
+        np.savetxt(ipath, synthetic_image().pixels, delimiter=",")
+        radii = ",".join(repr(float(r)) for r in np.geomspace(0.3, 2.5, 6))
+        assert main(["grid", "--polar", "--rays", "3", "--radii", radii, "--N", "8", "--out", str(gpath)]) == 0
+        capsys.readouterr()
+        rc = main(["demo-image", str(ipath), "--grid", str(gpath), "--scale", "15", "--alpha", "1"])
+        assert rc == 0
+        header, *rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+        table = {row[0]: dict(zip(header[1:], map(float, row[1:]))) for row in rows}
+        ratio = {mode: t["norm_translated"] / t["norm_eval"] for mode, t in table.items()}
+        assert ratio["interpolation"] >= 100
+        assert 0.5 <= ratio["approximation"] <= 2
+
+    def test_far_points_sample_zero(self, tmp_path, capsys):
+        # At scale 1e300 every grid point lies far outside the image: the fits
+        # see zero samples, with no numpy warning on the way.
+        from rotap import save_grid, synthetic_image
+
+        ipath, gpath = tmp_path / "img.csv", tmp_path / "grid.json"
+        np.savetxt(ipath, synthetic_image(16, 16, seed=3).pixels, delimiter=",")
+        save_grid(build_polar_grid(2, [0.5, 1.1, 2.0], 4, kind="spatial"), gpath)
+        rc = main(["demo-image", str(ipath), "--grid", str(gpath), "--scale", "1e300"])
+        out, err = capsys.readouterr()
+        assert rc == 0 and err == ""
+        rows = [line.split("\t") for line in out.splitlines()[1:]]
+        assert [row[0] for row in rows] == ["interpolation", "approximation"]
+        assert all(float(v) == 0 for row in rows for v in row[1:])
+
     def test_missing_image_exit_5(self, tmp_path):
         E = build_polar_grid(1, [1.0], 4)
         from rotap import save_grid
@@ -359,7 +423,8 @@ class TestErrorContract:
         save_samples(spath, SampleArray(np.ones((4, 2), dtype=complex), E))
         return spath
 
-    @pytest.mark.parametrize("alpha", ["-1", "nan", "inf"])
+    # 1e200 gives weights that square to inf in the normal matrix.
+    @pytest.mark.parametrize("alpha", ["-1", "nan", "inf", "1e200"])
     def test_bad_alpha_exit_2(self, tmp_path, capsys, spath, smoke_image, alpha):
         out = str(tmp_path / "o.bin")
         rc = main(["approximate", str(spath), "--weights-scheme", "paper", "--alpha", alpha, "--out", out])
@@ -367,6 +432,25 @@ class TestErrorContract:
         ipath, gpath = smoke_image
         rc = main(["demo-image", str(ipath), "--grid", str(gpath), "--alpha", alpha])
         assert_error(capsys, rc, 2, "usage error:")
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("approximate", ["--alpha", "nan"]),
+            ("demo-image", ["--weights", "zero", "--alpha", "1"]),
+            ("approximate", ["--weights-scheme", "paper", "--weights", "zero"]),
+            ("demo-image", ["--weights-scheme", "paper", "--weights", "zero"]),
+        ],
+        ids=["approximate-alpha-without-scheme", "demo-alpha-beside-weights", "approximate-scheme-beside-weights",
+             "demo-scheme-beside-weights"],
+    )
+    def test_unread_weight_argument_exit_2(self, tmp_path, capsys, spath, smoke_image, command, flags):
+        # --alpha that no scheme reads, or --weights-scheme that --weights
+        # overrides, was once dropped without a word.
+        ipath, gpath = smoke_image
+        inputs = [str(spath), "--out", str(tmp_path / "o.bin")] if command == "approximate" else [str(ipath), "--grid", str(gpath)]
+        assert assert_error(capsys, main([command, *inputs, *flags]), 2, "usage error:") == ""
+        assert not (tmp_path / "o.bin").exists()
 
     @pytest.mark.parametrize(
         "geometry",
