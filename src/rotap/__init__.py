@@ -67,7 +67,6 @@ from .harness import (
     BenchReport,
     bench_evaluate,
     bench_solve_scaling,
-    conditioning_report,
     optimal_N,
 )
 from .image import RasterImage, bilinear_sample, load_image, synthetic_image

@@ -41,19 +41,63 @@ def _polar(p) -> tuple[float, float]:
 _CHUNK_ENTRIES = 1 << 15
 
 
+def _has_mirror(M: int) -> bool:
+    """Whether a stack of M DFT bins has mirrored bins: M even, with bins beyond M/2."""
+    return M % 2 == 0 and M > 2
+
+
+def _mirror_bins(stack: np.ndarray) -> np.ndarray:
+    """Make an (M, ...) stack obey stack[M-n] = (-1)^n conj(stack[n]) exactly, in place.
+
+    Bins M/2+1 ... M-1 become the conjugates of bins M/2-1 ... 1, negated at
+    odd n; bin 0 keeps its real part and bin M/2 the part that the relation
+    leaves nonzero.  M is the stack's leading length and must be even.
+    """
+    M = stack.shape[0]
+    half = M // 2
+    stack[0, ...].imag = 0
+    if half % 2:
+        stack[half, ...].real = 0
+    else:
+        stack[half, ...].imag = 0
+    np.conjugate(stack[half - 1 : 0 : -1], out=stack[half + 1 :])
+    np.negative(stack[M - 1 : half : -2], out=stack[M - 1 : half : -2])
+    return stack
+
+
+def _is_mirrored(stack: np.ndarray) -> bool:
+    """Whether stack[M-n] == (-1)^n conj(stack[n]) bitwise for every bin n, checked one bin at a time."""
+    M = stack.shape[0]
+    return _has_mirror(M) and all(np.array_equal(stack[-n], (-1) ** n * stack[n].conj()) for n in range(M // 2 + 1))
+
+
 def _kernel_bins(products: np.ndarray, deltas: np.ndarray, N: int, out: np.ndarray | None = None) -> np.ndarray:
     """All N kernel bins of every entry: the FFT over r of the slice kernel.
 
     ``products`` holds xi*rho, ``deltas`` holds alpha-omega; they broadcast to
     a shape S and the result has shape (N,) + S, bin n_hat at index n_hat.
     Both the scalar kernel and the block assembly go through this routine.
+
+    For even N > 2 the group holds the rotation by pi, and cos(t + pi) =
+    -cos(t) gives the slice kernel A[r + N/2] = conj(A[r]).  So only the
+    first N/2 rotations take an exponential, and the bins obey
+    J_{N-n} = (-1)^n conj(J_n), the discrete J_{-n} = (-1)^n J_n: the FFT
+    fixes bins 0 ... N/2 and bins N/2+1 ... N-1 are written as exact mirrors.
     """
-    steps = (TWO_PI * np.arange(N) / N).reshape((N,) + (1,) * np.broadcast(products, deltas).ndim)
+    shape = np.broadcast(products, deltas).shape
+    mirror = _has_mirror(N)
+    computed = N // 2 if mirror else N
+    steps = (TWO_PI * np.arange(computed) / N).reshape((computed,) + (1,) * len(shape))
     phase = np.cos(deltas + steps)
     phase *= products
-    slice_kernel = phase * 1j
-    np.exp(slice_kernel, out=slice_kernel)
-    return np.fft.fft(slice_kernel, axis=0, out=out)
+    slice_kernel = np.empty((N,) + shape, dtype=complex)
+    head = slice_kernel[:computed]
+    np.multiply(phase, 1j, out=head)
+    np.exp(head, out=head)
+    if mirror:
+        np.conjugate(head, out=slice_kernel[computed:])
+    out = np.fft.fft(slice_kernel, axis=0, out=out)
+    return _mirror_bins(out) if mirror else out
 
 
 def generalized_bessel(n_hat: int, lam, y, N: int) -> complex:
@@ -78,6 +122,9 @@ class FourierBesselBlocks:
 
     ``blocks`` is one (N, P, Q) array; ``blocks[n_hat]`` is the P x Q matrix
     with entry (j, k) equal to the scalar kernel at (F.points[k], E.points[j]).
+    For even N > 2, :func:`assemble_blocks` computes bins 0 ... N/2 and
+    mirrors the rest, so ``blocks[N - n] == (-1)**n * blocks[n].conj()``
+    holds bitwise for every n.
     """
 
     N: int

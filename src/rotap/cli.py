@@ -24,7 +24,7 @@ from .group_reps import (
     check_unitary,
     commutant_dimension,
 )
-from .harness import bench_evaluate, bench_solve_scaling, conditioning_report, optimal_N, square_bench_grids
+from .harness import bench_evaluate, bench_solve_scaling, optimal_N
 from .image import bilinear_sample, load_image
 from .transform import (
     SampleArray,
@@ -207,16 +207,6 @@ def cmd_bench(args) -> int:
             qs = sorted(times)
             for a, b in zip(qs, qs[1:]):
                 print(f"N={N} per-bin solve {a}->{b}: x{times[b] / times[a]:.2f}")
-    if args.conditioning:
-        for N in args.N:
-            for Q in args.Q:
-                E, F = square_bench_grids(N, Q)
-                rep = conditioning_report(assemble_blocks(E, F))
-                print(
-                    f"conditioning N={N} Q={Q}: max={max(rep.conditions):.3e}"
-                    f" min_dist_E={rep.min_distance_spatial:.3e}"
-                    f" min_dist_F={rep.min_distance_frequency:.3e}"
-                )
     return 0
 
 
@@ -301,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--Q", type=int, nargs="+", default=[16])
     p.add_argument("--repetitions", type=int, default=3)
     p.add_argument("--optimal-N", type=int, dest="optimal_N", metavar="GRID_SIZE")
-    p.add_argument("--conditioning", action="store_true")
     p.add_argument("--out", help="CSV report path")
     p.set_defaults(func=cmd_bench)
 

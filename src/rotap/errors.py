@@ -26,7 +26,7 @@ class NotInvariant(GridError):
 
 
 class TrivialStabilizer(GridError):
-    """The origin appeared where a trivial stabilizer is required (frequency grids)."""
+    """The origin appeared where a trivial stabilizer is required (frequency grids, interpolation)."""
 
 
 class ParseError(RotapError):

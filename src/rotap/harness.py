@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bessel import FourierBesselBlocks, assemble_blocks
+from .bessel import assemble_blocks
 from .errors import DomainError
 from .grids import build_polar_grid
 from .transform import (
@@ -161,13 +161,6 @@ def optimal_N(grid_size: int) -> int:
     return max(1, round(math.sqrt(grid_size / 10)))
 
 
-@dataclass
-class ConditioningReport:
-    conditions: list[float]
-    min_distance_spatial: float
-    min_distance_frequency: float
-
-
 def _min_pairwise_distance(full_xy: np.ndarray) -> float:
     """Smallest distance between two points of a rotation-invariant grid's (N, P, 2) point set.
 
@@ -183,15 +176,3 @@ def _min_pairwise_distance(full_xy: np.ndarray) -> float:
     d2[np.arange(P), np.arange(P)] = np.inf  # each slice point against itself
     return float(np.sqrt(d2.min()))
 
-
-def conditioning_report(blocks: FourierBesselBlocks) -> ConditioningReport:
-    """Per-block 2-norm condition numbers plus the smallest point spacings of E and F."""
-    s = np.linalg.svd(blocks.blocks, compute_uv=False)  # (N, min(P, Q)), descending
-    smax, smin = s[:, 0], s[:, -1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        conds = np.where(smin > 0, smax / smin, np.inf)
-    return ConditioningReport(
-        conds.tolist(),
-        _min_pairwise_distance(blocks.spatial_grid.full_xy()),
-        _min_pairwise_distance(blocks.frequency_grid.full_xy()),
-    )

@@ -20,8 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .bessel import FourierBesselBlocks
-from .errors import DomainError, GridMismatch, ParseError, WellPosednessError
+from .bessel import FourierBesselBlocks, _is_mirrored, _mirror_bins
+from .errors import DomainError, GridMismatch, ParseError, TrivialStabilizer, WellPosednessError
 from .grids import RotInvariantGrid, grid_from_dict, grid_to_dict, load_grid
 
 
@@ -151,7 +151,10 @@ class BlockFactorization:
     Interpolation mode stores J^-1 per bin, with the exact condition number
     ||J||_1 ||J^-1||_1 in ``conditions``.  Approximation mode stores
     (J* J + diag(d^2))^-1 J* per bin, with the squared extreme-diagonal ratio
-    of the normal matrix's Cholesky factor in ``conditions``.
+    of the normal matrix's Cholesky factor in ``conditions``.  When
+    :func:`prefactorize` mirrors (see there), ``operators[N - n] ==
+    (-1)**n * operators[n].conj()`` and ``conditions[N - n] ==
+    conditions[n]`` hold bitwise for every n.
     """
 
     mode: str  # "interpolation" | "approximation"
@@ -164,47 +167,71 @@ class BlockFactorization:
 def prefactorize(blocks: FourierBesselBlocks, mode: str, weights: Weights | None = None) -> BlockFactorization:
     """Factor every Fourier-Bessel block once, enabling O(Q^2) per-bin solves.
 
-    Interpolation inverts the whole (N, Q, Q) stack with one ``np.linalg.inv``.
+    Interpolation inverts the (N, Q, Q) stack with one ``np.linalg.inv``.
     Approximation forms each normal matrix J* J + diag(d^2), takes its
     Cholesky factor with ``np.linalg.cholesky`` and solves it against J* with
     ``np.linalg.solve``, one bin at a time.  The same two calls over the
-    whole stack give bitwise the same operators and conditions but are no
-    faster (N=64, Q=64 on a 2-core machine: 39-41 against 36-38 ms), and
-    their (N, Q, Q) temporaries raised the fit-n64-q64 benchmark's peak RSS
-    from 78.7 to 88.7 MB.  Only numpy's LAPACK is used.
+    stack give bitwise the same operators and conditions but are no faster
+    (bins 0 ... 32 at N=64 on a 2-core machine, stacked against per bin,
+    medians of 15: 20.5 against 20.2 ms at Q=64, 69.6 against 66.9 ms at
+    Q=128), and a stacked version's (N, Q, Q)
+    temporaries raised the fit-n64-q64 benchmark's peak RSS from 78.7 to
+    88.7 MB.  Only numpy's LAPACK is used.
 
+    Half the spectrum.  When the blocks obey
+    ``blocks[N - n] == (-1)**n * blocks[n].conj()`` bitwise for every n
+    (even N > 2, as :func:`~rotap.bessel.assemble_blocks` builds them) and,
+    in approximation mode, the weights obey ``d[N - n] == d[n]`` bitwise,
+    only bins 0 ... N/2 are factored, and the operators and conditions of
+    bins N/2+1 ... N-1 are written as their exact mirrors.  Every other
+    input, such as odd N, a hand-built stack or weights that differ between
+    mirrored bins, has every bin factored.
+
+    Interpolation needs N*P distinct points, so a spatial grid that holds
+    the origin (fixed by every rotation) raises
+    :class:`~rotap.errors.TrivialStabilizer` for N > 1 before any factoring.
     Raises :class:`WellPosednessError` naming the first bin whose block (or
     normal matrix) LAPACK cannot factor, or whose condition number is not
     finite.  A finite condition, however large, is for the caller to judge.
     """
     N, P, Q = blocks.N, blocks.P, blocks.Q
+    stack = blocks.blocks
     if mode == "interpolation":
         if P != Q:
             raise GridMismatch(f"interpolation requires P == Q, got P={P}, Q={Q}")
+        if N > 1 and any(p.radius == 0 for p in blocks.spatial_grid.points):
+            raise TrivialStabilizer(
+                f"interpolation cannot use a spatial grid that holds the origin: all {N} rotations fix it, "
+                f"leaving {N * (P - 1) + 1} distinct points for {N * Q} coefficients"
+            )
+        bins = N // 2 + 1 if _is_mirrored(stack) else N
+        operators = np.empty((N, Q, Q), dtype=complex)
         try:
-            operators = np.linalg.inv(blocks.blocks)
+            operators[:bins] = np.linalg.inv(stack[:bins])
         except np.linalg.LinAlgError:
             # The stacked call does not say which bin failed; find the first.
-            for n_hat, b in enumerate(blocks.blocks):
+            for n_hat, b in enumerate(stack[:bins]):
                 try:
                     np.linalg.inv(b)
                 except np.linalg.LinAlgError as exc:
                     raise WellPosednessError(n_hat) from exc
             raise
         # The 1-norm of a matrix is its largest absolute column sum.
-        conds = np.abs(blocks.blocks).sum(axis=1).max(axis=1) * np.abs(operators).sum(axis=1).max(axis=1)
+        conds = np.abs(stack[:bins]).sum(axis=1).max(axis=1) * np.abs(operators[:bins]).sum(axis=1).max(axis=1)
     elif mode == "approximation":
         if P < Q:
             raise GridMismatch(f"approximation requires P >= Q, got P={P}, Q={Q}")
         if weights is None:
             weights = Weights.zero(N, Q)
-        if weights.values.shape != (N, Q):
-            raise GridMismatch(f"weights shape {weights.values.shape} does not match (N, Q)=({N}, {Q})")
+        d = weights.values
+        if d.shape != (N, Q):
+            raise GridMismatch(f"weights shape {d.shape} does not match (N, Q)=({N}, {Q})")
+        bins = N // 2 + 1 if _is_mirrored(stack) and np.array_equal(d[1:], d[:0:-1]) else N
         operators = np.empty((N, Q, P), dtype=complex)
-        conds = np.empty(N)
-        for n_hat, b in enumerate(blocks.blocks):
+        conds = np.empty(bins)
+        for n_hat, b in enumerate(stack[:bins]):
             adjoint = b.conj().T
-            normal = adjoint @ b + np.diag(weights.values[n_hat] ** 2)
+            normal = adjoint @ b + np.diag(d[n_hat] ** 2)
             try:
                 low = np.linalg.cholesky(normal)
             except np.linalg.LinAlgError as exc:
@@ -217,6 +244,9 @@ def prefactorize(blocks: FourierBesselBlocks, mode: str, weights: Weights | None
     bad = np.flatnonzero(~np.isfinite(conds))
     if bad.size:
         raise WellPosednessError(int(bad[0]), float(conds[bad[0]]))
+    if bins < N:
+        _mirror_bins(operators)
+        conds = np.concatenate((conds, conds[-2:0:-1]))
     return BlockFactorization(mode, blocks.spatial_grid, blocks.frequency_grid, operators, tuple(conds.tolist()))
 
 

@@ -19,6 +19,8 @@ from rotap import bessel
 from rotap.grids import RotInvariantGrid, SlicePoint
 from rotap.harness import square_bench_grids
 
+from conftest import demo_grids, square_grid_pair
+
 
 def direct_sum(n_hat, product, delta, N):
     """Independent scalar-by-scalar oracle for the kernel sum."""
@@ -139,6 +141,24 @@ class TestAssembleBlocks:
                 for n_hat in range(N):
                     want = direct_sum(n_hat, product, delta, N)
                     assert abs(blocks[n_hat, j, k] - want) <= 1e-12 * scale
+
+    @pytest.mark.parametrize(
+        "grids",
+        [
+            lambda: square_bench_grids(64, 32),
+            demo_grids,
+            lambda: square_grid_pair(6, np.linspace(1, 4, 5)),
+            lambda: square_grid_pair(12, np.linspace(1, 4, 5)),
+        ],
+        ids=["bench-64-32", "demo", "N6", "N12"],
+    )
+    def test_blocks_are_mirrored_bitwise(self, grids):
+        # For even N the rotation by pi gives J_{N-n} = (-1)^n conj(J_n),
+        # exactly, bins 0 and N/2 included (the FFT leaves bin N/2 of N = 6
+        # or 12 off by round-off).
+        blocks = assemble_blocks(*grids()).blocks
+        for n in range(len(blocks)):
+            assert np.array_equal(blocks[-n], (-1) ** n * blocks[n].conj())
 
     def test_allocates_little_beyond_output(self):
         E, F = square_bench_grids(64, 128)

@@ -233,6 +233,18 @@ class TestFrequencyGrid:
         rc = main(["interpolate", str(spath), "--frequency-grid", str(fpath), "--out", str(tmp_path / "o.bin")])
         assert_error(capsys, rc, 3, "grid error: interpolation requires P == Q")
 
+    def test_interpolate_origin_grid_exit_3(self, tmp_path, capsys):
+        # All 6 rotations fix the origin: 13 distinct points for 18 coefficients.
+        from rotap import save_grid
+
+        E = RotInvariantGrid(6, (SlicePoint(0.0, 0.0), SlicePoint(1.0, 0.0), SlicePoint(2.0, 0.0)), "spatial").validate()
+        spath, fpath, out = tmp_path / "s.bin", tmp_path / "F.json", tmp_path / "o.bin"
+        save_samples(spath, SampleArray(np.ones((6, 3)), E))
+        save_grid(build_polar_grid(1, [0.7, 1.4, 2.1], 6, kind="frequency"), fpath)
+        rc = main(["interpolate", str(spath), "--frequency-grid", str(fpath), "--out", str(out)])
+        assert_error(capsys, rc, 3, "grid error: interpolation cannot use a spatial grid that holds the origin")
+        assert not out.exists()
+
 
 _IMPORT_PROBE = """
 import sys
@@ -286,10 +298,10 @@ class TestBenchCommand:
 
     def test_small_bench_with_csv(self, tmp_path, capsys):
         out = tmp_path / "report.csv"
-        rc = main(["bench", "--N", "4", "--Q", "6", "--repetitions", "3", "--out", str(out), "--conditioning"])
+        rc = main(["bench", "--N", "4", "--Q", "6", "--repetitions", "3", "--out", str(out)])
         assert rc == 0
         text = capsys.readouterr().out
-        assert "t_naive\tt_assemble" in text and "conditioning N=4" in text
+        assert "t_naive\tt_assemble" in text
         assert out.read_text().startswith("N,P,Q,")
 
     def test_several_Q_print_solve_doubling(self, tmp_path, capsys):

@@ -9,11 +9,9 @@ from rotap import (
     bench_evaluate,
     bench_solve_scaling,
     build_polar_grid,
-    conditioning_report,
     optimal_N,
 )
 from rotap.bessel import FourierBesselBlocks
-from rotap.grids import RotInvariantGrid, SlicePoint
 from rotap.harness import _min_pairwise_distance, square_bench_grids
 
 from conftest import random_slice_grid
@@ -34,31 +32,6 @@ class TestOptimalN:
             optimal_N(9)
 
 
-class TestConditioningReport:
-    def test_single_point_identityish(self):
-        E = build_polar_grid(1, [1.0], 1, kind="spatial")
-        F = build_polar_grid(1, [1.0], 1, kind="frequency")
-        rep = conditioning_report(assemble_blocks(E, F))
-        assert rep.conditions == pytest.approx([1.0])
-        assert rep.min_distance_spatial == float("inf")
-
-    def test_duplicated_row_blows_up(self):
-        # Two nearly identical spatial points make every block nearly rank
-        # deficient; unvalidated grids let us build the degenerate case.
-        pts = (SlicePoint(1.0, 0.1), SlicePoint(1.0, 0.1 + 1e-14))
-        E = RotInvariantGrid(4, pts, "spatial")
-        F = build_polar_grid(2, [0.9, 1.7], 4, kind="frequency")
-        rep = conditioning_report(assemble_blocks(E, F))
-        assert max(rep.conditions) > 1e12
-        assert rep.min_distance_spatial < 1e-12
-
-    def test_min_distance_counts_cross_orbit_pairs(self):
-        E = build_polar_grid(1, [1.0, 1.0 + 1e-6], 8, kind="spatial")
-        F = build_polar_grid(1, [1.0], 8, kind="frequency")
-        rep = conditioning_report(assemble_blocks(E, F))
-        assert rep.min_distance_spatial == pytest.approx(1e-6, rel=1e-3)
-
-
 @pytest.mark.parametrize("N, count, kind", [(1, 5, "spatial"), (3, 4, "spatial"), (6, 3, "frequency"), (8, 1, "frequency")])
 def test_min_pairwise_distance_matches_all_pairs(rng, N, count, kind):
     for _ in range(5):
@@ -67,6 +40,13 @@ def test_min_pairwise_distance_matches_all_pairs(rng, N, count, kind):
         d = np.hypot(pts[:, None, 0] - pts[None, :, 0], pts[:, None, 1] - pts[None, :, 1])
         np.fill_diagonal(d, np.inf)
         assert _min_pairwise_distance(full) == pytest.approx(d.min(), rel=1e-12)
+
+
+def test_min_pairwise_distance_cross_orbit_pair():
+    # The closest pair joins two orbits 1e-6 apart; a single point has no pair.
+    E = build_polar_grid(1, [1.0, 1.0 + 1e-6], 8, kind="spatial")
+    assert _min_pairwise_distance(E.full_xy()) == pytest.approx(1e-6, rel=1e-3)
+    assert _min_pairwise_distance(build_polar_grid(1, [1.0], 1, kind="spatial").full_xy()) == float("inf")
 
 
 class TestBenchEvaluate:

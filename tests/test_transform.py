@@ -28,6 +28,7 @@ from rotap import (
     rotate_coefficients,
     translate_coefficients,
 )
+from rotap.errors import TrivialStabilizer
 from rotap.grids import SlicePoint
 from rotap.harness import square_bench_grids
 
@@ -53,6 +54,27 @@ def brute_force_eval(coeffs, E):
                     acc += cmath.exp(1j * (L[0] * x[0] + L[1] * x[1])) * coeffs.values[m, k]
             out[n, j] = acc
     return out
+
+
+def cholesky_reference(blocks, w):
+    """Per-bin approximation operators and squared Cholesky-diagonal ratios, every bin factored."""
+    import scipy.linalg
+
+    operators, conditions = [], []
+    for n_hat, b in enumerate(blocks.blocks):
+        adjoint = b.conj().T
+        c, low = scipy.linalg.cho_factor(adjoint @ b + np.diag(w.values[n_hat] ** 2))
+        diag = np.abs(np.diag(c))
+        conditions.append((diag.max() / diag.min()) ** 2)
+        operators.append(scipy.linalg.cho_solve((c, low), adjoint))
+    return operators, conditions
+
+
+def assert_mirrored(fact):
+    """operators[N-n] == (-1)^n conj(operators[n]) bitwise, and conditions[N-n] == conditions[n]."""
+    for n in range(len(fact.operators)):
+        assert np.array_equal(fact.operators[-n], (-1) ** n * fact.operators[n].conj())
+        assert fact.conditions[-n] == fact.conditions[n]
 
 
 class TestDft:
@@ -185,6 +207,18 @@ class TestPrefactorize:
         assert exc.value.bin_index == 2
         assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
 
+    def test_first_singular_bin_is_named_even_N(self, rng):
+        # Bin 4 is singular and its mirror, bin 2, is not: the stack is not
+        # mirrored, so every bin is factored and the error names bin 4.
+        blocks = assemble_blocks(random_slice_grid(rng, 6, 3), random_slice_grid(rng, 6, 3, "frequency"))
+        stack = blocks.blocks.copy()
+        stack[4, 1] = stack[4, 0]
+        singular = FourierBesselBlocks(6, stack, blocks.spatial_grid, blocks.frequency_grid)
+        with pytest.raises(WellPosednessError) as exc:
+            prefactorize(singular, "interpolation")
+        assert exc.value.bin_index == 4
+        assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
+
     def test_duplicated_point_approximation_is_singular(self):
         # J* J is exactly singular, so the Cholesky factorization itself fails.
         pts = (SlicePoint(1.0, 0.1), SlicePoint(1.0, 0.1))
@@ -196,21 +230,58 @@ class TestPrefactorize:
         assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
 
     def test_approximation_matches_cholesky_reference(self, rng):
-        import scipy.linalg
-
         E = random_slice_grid(rng, 8, 10)
         F = random_slice_grid(rng, 8, 6, "frequency")
         blocks = assemble_blocks(E, F)
         w = Weights(rng.uniform(0.1, 2.0, (8, 6)))
         fact = prefactorize(blocks, "approximation", w)
         assert fact.operators.shape == (8, 6, 10) and fact.operators.flags.c_contiguous
-        for n_hat, b in enumerate(blocks.blocks):
-            adjoint = b.conj().T
-            c, low = scipy.linalg.cho_factor(adjoint @ b + np.diag(w.values[n_hat] ** 2))
-            diag = np.abs(np.diag(c))
-            assert fact.conditions[n_hat] == pytest.approx((diag.max() / diag.min()) ** 2, rel=1e-12)
-            want = scipy.linalg.cho_solve((c, low), adjoint)
+        for n_hat, (want, cond) in enumerate(zip(*cholesky_reference(blocks, w))):
+            assert fact.conditions[n_hat] == pytest.approx(cond, rel=1e-12)
             assert np.abs(fact.operators[n_hat] - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_approximation_mirrors_only_mirrored_weights(self, rng):
+        # Weights with d[N-n] == d[n] let bins 5 ... 7 be mirrored from bins
+        # 3 ... 1; one changed entry of bin 5 makes every bin be factored.
+        E = random_slice_grid(rng, 8, 10)
+        F = random_slice_grid(rng, 8, 6, "frequency")
+        blocks = assemble_blocks(E, F)
+        head = rng.uniform(0.1, 2.0, (5, 6))
+        mirrored = np.concatenate((head, head[-2:0:-1]))
+        changed = mirrored.copy()
+        changed[5, 2] *= 1.5
+        for values in (mirrored, changed):
+            w = Weights(values)
+            fact = prefactorize(blocks, "approximation", w)
+            for n_hat, (want, cond) in enumerate(zip(*cholesky_reference(blocks, w))):
+                assert fact.conditions[n_hat] == pytest.approx(cond, rel=1e-12)
+                assert np.abs(fact.operators[n_hat] - want).max() <= 1e-12 * np.abs(want).max()
+        assert_mirrored(prefactorize(blocks, "approximation", Weights(mirrored)))
+
+    @pytest.mark.parametrize("Q", [64, 128])
+    def test_half_path_matches_every_bin_factored(self, Q):
+        # On even N only bins 0 ... N/2 are factored; the rest are exact mirrors.
+        E, F = square_bench_grids(64, Q)
+        blocks = assemble_blocks(E, F)
+        w = banded_weights(F, 100.0)
+        interp = prefactorize(blocks, "interpolation")
+        approx = prefactorize(blocks, "approximation", w)
+        for n_hat, (b, want) in enumerate(zip(blocks.blocks, cholesky_reference(blocks, w)[0])):
+            assert np.abs(approx.operators[n_hat] - want).max() <= 1e-12 * np.abs(want).max()
+            want = np.linalg.inv(b)
+            assert np.abs(interp.operators[n_hat] - want).max() <= 1e-12 * np.abs(want).max()
+        assert_mirrored(interp)
+        assert_mirrored(approx)
+
+    def test_origin_grid_cannot_interpolate(self):
+        # All N rotations fix the origin: N(P-1)+1 distinct points for N*Q coefficients.
+        E = RotInvariantGrid(6, (SlicePoint(0.0, 0.0), SlicePoint(1.0, 0.0), SlicePoint(2.0, 0.0)), "spatial").validate()
+        F = build_polar_grid(1, [0.7, 1.4, 2.1], 6, kind="frequency")
+        blocks = assemble_blocks(E, F)
+        with pytest.raises(TrivialStabilizer, match="origin"):
+            prefactorize(blocks, "interpolation")
+        fact = prefactorize(blocks, "approximation", banded_weights(F, 1.0))
+        assert all(np.isfinite(fact.conditions))
 
     def test_interpolation_matches_lu_reference(self, rng):
         import scipy.linalg
