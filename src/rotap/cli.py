@@ -3,13 +3,15 @@
 Subcommands: grid, evaluate, interpolate, approximate, demo-image, bench,
 verify-rep.  Exit codes: 0 ok, 1 a verify-rep check failed, 2 usage, 3 grid
 error, 4 well-posedness, 5 I/O error.  Each RotapError class carries its code
-and stderr label; main() maps them, and OSError to 5, in one place.
+and stderr label; main() maps them, OSError to 5 and a closed stdout to 0,
+in one place.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 
 import numpy as np
@@ -306,7 +308,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:  # the reader closed stdout, as `rotap bench | head` does
+        # Point stdout at devnull so the flush at interpreter exit stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except RotapError as exc:
         print(f"{exc.label}: {exc}", file=sys.stderr)
         return exc.exit_code

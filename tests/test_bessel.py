@@ -94,6 +94,23 @@ class TestGeneralizedBessel:
         assert a == pytest.approx(b.conjugate(), abs=1e-12)
 
 
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6, 8, 12, 64, 256])
+def test_kernel_bins_match_fft_reference(N):
+    # N runs across _has_mirror's M > 2 threshold; products reach bench scale.
+    # The reference takes every rotation's exponential and a length-N FFT.
+    # Both sides round phases of size up to 1.1e3, each to a few ulps, so the
+    # bins agree to a few eps times the largest product, not to eps.
+    rng = np.random.default_rng(N)
+    products = rng.uniform(0.0, 1.1e3, (4, 8))
+    deltas = rng.uniform(-2 * math.pi / N, 2 * math.pi / N, (4, 8))
+    rotations = (2 * math.pi * np.arange(N) / N).reshape(N, 1, 1)
+    want = np.fft.fft(np.exp(1j * products * np.cos(deltas + rotations)), axis=0)
+    got = bessel._kernel_bins(products, deltas, N)
+    assert got.shape == (N, 4, 8)
+    bound = 4 * np.finfo(float).eps * products.max()
+    assert np.abs(got - want).max() <= bound * np.abs(want).max()
+
+
 class TestAssembleBlocks:
     def test_degenerate_n1(self):
         E = RotInvariantGrid(1, (SlicePoint(1.0, 0.0),), "spatial").validate()
@@ -111,10 +128,10 @@ class TestAssembleBlocks:
         assert blocks.blocks[0][0, 0] == pytest.approx(2 + 2 * math.cos(1.0))
 
     def test_entries_match_scalar_kernel(self):
-        # Agreement is to the last couple of ulps: numpy's vectorized exp/cos
-        # take SIMD code paths on 2-d arrays that round differently from the
-        # 0-d scalar path, so bit-for-bit equality across shapes is not a
-        # meaningful contract.
+        # Agreement is to the last couple of ulps: the bins come from a BLAS
+        # product whose summation order depends on the number of entries (a
+        # matrix-vector product for one entry, a blocked GEMM for a chunk), so
+        # bit-for-bit equality across shapes is not a meaningful contract.
         E = build_polar_grid(2, [0.5, 1.5], 5, kind="spatial")
         F = build_polar_grid(1, [0.8, 1.1, 2.0], 5, kind="frequency")
         blocks = assemble_blocks(E, F)
@@ -125,12 +142,21 @@ class TestAssembleBlocks:
                     want = generalized_bessel(n_hat, lam, y, 5)
                     assert abs(got - want) < 1e-14
 
-    @pytest.mark.parametrize("N, P, Q", [(7, 4, 1200), (64, 6, 128)])
-    def test_entries_match_direct_sum(self, N, P, Q):
+    @pytest.mark.parametrize(
+        "N, P, Q, spatial_radii, frequency_radii",
+        [
+            (7, 4, 1200, (0.5, 4.0), (0.1, 9.0)),
+            (64, 6, 128, (0.5, 4.0), (0.1, 9.0)),
+            (64, 6, 128, (1.0, 33.0), (1.0, 33.0)),
+        ],
+        ids=["7-4-1200", "64-6-128", "64-6-128-bench-radii"],
+    )
+    def test_entries_match_direct_sum(self, N, P, Q, spatial_radii, frequency_radii):
         # P is not a multiple of the rows per chunk, so the last chunk is partial.
+        # The bench radii linspace(1, 33) take products xi*rho up to about 1e3.
         assert P % (bessel._CHUNK_ENTRIES // (N * Q)) != 0
-        E = build_polar_grid(2, np.linspace(0.5, 4.0, P // 2), N, kind="spatial")
-        F = build_polar_grid(1, np.linspace(0.1, 9.0, Q), N, kind="frequency")
+        E = build_polar_grid(2, np.linspace(*spatial_radii, P // 2), N, kind="spatial")
+        F = build_polar_grid(1, np.linspace(*frequency_radii, Q), N, kind="frequency")
         blocks = assemble_blocks(E, F).blocks
         assert blocks.shape == (N, P, Q)
         scale = np.abs(blocks).max()
@@ -154,8 +180,8 @@ class TestAssembleBlocks:
     )
     def test_blocks_are_mirrored_bitwise(self, grids):
         # For even N the rotation by pi gives J_{N-n} = (-1)^n conj(J_n),
-        # exactly, bins 0 and N/2 included (the FFT leaves bin N/2 of N = 6
-        # or 12 off by round-off).
+        # exactly, bins 0 and N/2 included (the DFT matrix's sin(pi) != 0
+        # leaves bin N/2 off by round-off).
         blocks = assemble_blocks(*grids()).blocks
         for n in range(len(blocks)):
             assert np.array_equal(blocks[-n], (-1) ** n * blocks[n].conj())

@@ -280,6 +280,24 @@ def test_approximate_does_not_import_scipy(tmp_path):
     assert probes == ["probe []", "probe 0 []", "probe 0 []"]
 
 
+def test_closed_stdout_exits_0_quietly():
+    # A reader that closes the pipe early, as `rotap bench | head -1` does, is
+    # not an I/O error: the command exits 0 with nothing on stderr.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "rotap.cli", "bench", "--optimal-N", "1000"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
 class TestBenchCommand:
     def test_optimal_N(self, capsys):
         assert main(["bench", "--optimal-N", "1000"]) == 0
