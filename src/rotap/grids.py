@@ -22,7 +22,7 @@ TWO_PI = 2.0 * math.pi
 ANGLE_TOL = 1e-12
 # Euclidean tolerance when matching a rotated point set against itself.
 INVARIANCE_TOL = 1e-9
-# Two slice points closer than this are considered duplicates.
+# Two points of the full grid closer than this are considered duplicates.
 DUPLICATE_TOL = 1e-12
 
 
@@ -75,12 +75,17 @@ class RotInvariantGrid:
                 raise InvalidGrid(f"angle {p.angle} outside slice [0, {width})")
         if origin_count > 1:
             raise InvalidGrid("the origin may appear at most once")
-        xy = self.slice_xy()
-        for i in range(len(xy)):
-            d = np.hypot(xy[i + 1 :, 0] - xy[i, 0], xy[i + 1 :, 1] - xy[i, 1])
+        # The copy of slice point j nearest to slice point i is j or j turned by +-2*pi/N.
+        # The turned slice leaves out the origin, which every turn fixes, and is empty at N = 1.
+        z = self.slice_xy() @ np.array([1, 1j])
+        moved = np.flatnonzero((z != 0) & (self.N > 1))
+        others = np.concatenate((z, z[moved] * np.exp(1j * width)))
+        index = np.concatenate((np.arange(len(z)), moved))
+        for i in range(len(z)):
+            d = np.abs(others[i + 1 :] - z[i])
             if d.size and d.min() <= DUPLICATE_TOL:
-                j = i + 1 + int(np.argmin(d))
-                raise InvalidGrid(f"duplicate slice points at indices {i} and {j}")
+                j = index[i + 1 + np.argmin(d)]
+                raise InvalidGrid(f"slice point {i} duplicates a full-grid copy of slice point {j}")
         return self
 
     def __len__(self) -> int:
@@ -192,7 +197,8 @@ def canonicalize(points, N: int, kind: str = "spatial") -> RotInvariantGrid:
         elif free[i]:
             orbit = free & (np.hypot(x - x[i], y - y[i]) <= INVARIANCE_TOL)
             free &= ~orbit
-            if not np.array_equal(np.sort(idx[orbit]), np.arange(N)):
+            # The size test comes first, so that an orbit short of a huge N allocates nothing.
+            if orbit.sum() != N or not np.array_equal(np.sort(idx[orbit]), np.arange(N)):
                 witness = tuple(pts[i].tolist())
                 raise NotInvariant(witness, f"orbit of {witness} has {orbit.sum()} of {N} points")
             rep = np.flatnonzero(orbit & (idx == 0))[0]
@@ -215,8 +221,6 @@ def grid_from_dict(data) -> RotInvariantGrid:
         pts = tuple(SlicePoint(float(p["radius"]), float(p["angle"])) for p in data["points"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"malformed grid record: {exc}") from exc
-    if not isinstance(N, int):
-        raise InvalidGrid(f"N must be a positive integer, got {N!r}")
     return RotInvariantGrid(N, pts, kind).validate()
 
 
@@ -232,7 +236,7 @@ def _read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except ValueError as exc:  # malformed JSON, or bytes that are not UTF-8
+        except (ValueError, RecursionError) as exc:  # malformed or too deeply nested JSON, or not UTF-8
             raise ParseError(f"{path}: {exc}") from exc
 
 

@@ -151,10 +151,10 @@ class BlockFactorization:
     Interpolation mode stores J^-1 per bin, with the exact condition number
     ||J||_1 ||J^-1||_1 in ``conditions``.  Approximation mode stores
     (J* J + diag(d^2))^-1 J* per bin, with the squared extreme-diagonal ratio
-    of the normal matrix's Cholesky factor in ``conditions``.  When
-    :func:`prefactorize` mirrors (see there), ``operators[N - n] ==
-    (-1)**n * operators[n].conj()`` and ``conditions[N - n] ==
-    conditions[n]`` hold bitwise for every n.
+    of the normal matrix's Cholesky factor in ``conditions``.  Each bin is
+    factored on its own.  When :func:`prefactorize` mirrors (see there),
+    ``operators[N - n] == (-1)**n * operators[n].conj()`` and
+    ``conditions[N - n] == conditions[n]`` hold bitwise for every n.
     """
 
     mode: str  # "interpolation" | "approximation"
@@ -167,16 +167,16 @@ class BlockFactorization:
 def prefactorize(blocks: FourierBesselBlocks, mode: str, weights: Weights | None = None) -> BlockFactorization:
     """Factor every Fourier-Bessel block once, enabling O(Q^2) per-bin solves.
 
-    Interpolation inverts the (N, Q, Q) stack with one ``np.linalg.inv``.
-    Approximation forms each normal matrix J* J + diag(d^2), takes its
-    Cholesky factor with ``np.linalg.cholesky`` and solves it against J* with
-    ``np.linalg.solve``, one bin at a time.  The same two calls over the
-    stack give bitwise the same operators and conditions but are no faster
-    (bins 0 ... 32 at N=64 on a 2-core machine, stacked against per bin,
-    medians of 15: 20.5 against 20.2 ms at Q=64, 69.6 against 66.9 ms at
-    Q=128), and a stacked version's (N, Q, Q)
-    temporaries raised the fit-n64-q64 benchmark's peak RSS from 78.7 to
-    88.7 MB.  Only numpy's LAPACK is used.
+    One loop factors every bin on its own, in both modes.  Interpolation
+    inverts each block with ``np.linalg.inv``; approximation forms each
+    normal matrix J* J + diag(d^2), takes its Cholesky factor with
+    ``np.linalg.cholesky`` and solves it against J* with ``np.linalg.solve``.
+    The same calls over the stack give bitwise the same operators and
+    conditions at no gain (bins 0 ... 32 at N=64 on a 2-core machine,
+    stacked against per bin, medians of 15, Q = 64 / 128: interpolation
+    8.9 / 39.7 against 9.4 / 40.5 ms, approximation 20.5 / 69.6 against
+    20.2 / 66.9 ms), and a stacked approximation raised the fit-n64-q64
+    benchmark's peak RSS from 78.7 to 88.7 MB.  Only numpy's LAPACK is used.
 
     Half the spectrum.  When the blocks obey
     ``blocks[N - n] == (-1)**n * blocks[n].conj()`` bitwise for every n
@@ -204,43 +204,32 @@ def prefactorize(blocks: FourierBesselBlocks, mode: str, weights: Weights | None
                 f"interpolation cannot use a spatial grid that holds the origin: all {N} rotations fix it, "
                 f"leaving {N * (P - 1) + 1} distinct points for {N * Q} coefficients"
             )
-        bins = N // 2 + 1 if _is_mirrored(stack) else N
-        operators = np.empty((N, Q, Q), dtype=complex)
-        try:
-            operators[:bins] = np.linalg.inv(stack[:bins])
-        except np.linalg.LinAlgError:
-            # The stacked call does not say which bin failed; find the first.
-            for n_hat, b in enumerate(stack[:bins]):
-                try:
-                    np.linalg.inv(b)
-                except np.linalg.LinAlgError as exc:
-                    raise WellPosednessError(n_hat) from exc
-            raise
-        # The 1-norm of a matrix is its largest absolute column sum.
-        conds = np.abs(stack[:bins]).sum(axis=1).max(axis=1) * np.abs(operators[:bins]).sum(axis=1).max(axis=1)
     elif mode == "approximation":
         if P < Q:
             raise GridMismatch(f"approximation requires P >= Q, got P={P}, Q={Q}")
-        if weights is None:
-            weights = Weights.zero(N, Q)
-        d = weights.values
+        d = (weights if weights is not None else Weights.zero(N, Q)).values
         if d.shape != (N, Q):
             raise GridMismatch(f"weights shape {d.shape} does not match (N, Q)=({N}, {Q})")
-        bins = N // 2 + 1 if _is_mirrored(stack) and np.array_equal(d[1:], d[:0:-1]) else N
-        operators = np.empty((N, Q, P), dtype=complex)
-        conds = np.empty(bins)
-        for n_hat, b in enumerate(stack[:bins]):
-            adjoint = b.conj().T
-            normal = adjoint @ b + np.diag(d[n_hat] ** 2)
-            try:
-                low = np.linalg.cholesky(normal)
-            except np.linalg.LinAlgError as exc:
-                raise WellPosednessError(n_hat) from exc
-            diag = np.abs(np.diag(low))
-            conds[n_hat] = float(diag.max() / diag.min()) ** 2
-            operators[n_hat] = np.linalg.solve(normal, adjoint)
     else:
         raise ValueError(f"unknown mode {mode!r}")
+    mirrored = _is_mirrored(stack) and (mode == "interpolation" or np.array_equal(d[1:], d[:0:-1]))
+    bins = N // 2 + 1 if mirrored else N
+    operators = np.empty((N, Q, P), dtype=complex)
+    conds = np.empty(bins)
+    for n_hat, b in enumerate(stack[:bins]):
+        try:
+            if mode == "interpolation":
+                operators[n_hat] = np.linalg.inv(b)
+                # The 1-norm of a matrix is its largest absolute column sum.
+                conds[n_hat] = np.abs(b).sum(axis=0).max() * np.abs(operators[n_hat]).sum(axis=0).max()
+            else:
+                adjoint = b.conj().T
+                normal = adjoint @ b + np.diag(d[n_hat] ** 2)
+                diag = np.abs(np.diag(np.linalg.cholesky(normal)))
+                conds[n_hat] = float(diag.max() / diag.min()) ** 2
+                operators[n_hat] = np.linalg.solve(normal, adjoint)
+        except np.linalg.LinAlgError as exc:
+            raise WellPosednessError(n_hat) from exc
     bad = np.flatnonzero(~np.isfinite(conds))
     if bad.size:
         raise WellPosednessError(int(bad[0]), float(conds[bad[0]]))
@@ -266,7 +255,10 @@ def interpolate(samples: SampleArray, fact: BlockFactorization) -> ApCoefficient
 
 
 def approximate(samples: SampleArray, fact: BlockFactorization) -> ApCoefficients:
-    """Regularized least squares per bin: (J* J + diag(d^2)) v = J* w."""
+    """Regularized least squares per bin: (J* J + diag(d^2)) v = J* w.
+
+    The (N, P) sample layout repeats the origin N times, and so does the fit.
+    """
     return _solve(samples, fact, "approximation")
 
 
@@ -284,7 +276,10 @@ def translate_coefficients(coeffs: ApCoefficients, xi) -> ApCoefficients:
 
 
 def approximation_objective(coeffs: ApCoefficients, samples: SampleArray, blocks: FourierBesselBlocks, weights: Weights) -> float:
-    """The objective ||diag(d) fft(coeffs)||^2 + ||samples - ev(coeffs)||^2 minimized by approximate()."""
+    """The objective ||diag(d) fft(coeffs)||^2 + ||samples - ev(coeffs)||^2 minimized by approximate().
+
+    The residual runs over the (N, P) layout, so it counts the origin N times.
+    """
     chat = dft_rotation_axis(coeffs.values, "forward")
     penalty = float(np.sum((weights.values * np.abs(chat)) ** 2))
     resid = samples.values - evaluate_fast(coeffs, blocks).values
@@ -314,7 +309,7 @@ def _load_array(path) -> tuple[np.ndarray, RotInvariantGrid]:
         payload = fh.read()
     try:
         header = json.loads(head.decode("utf-8"))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"{path}: malformed header: {exc}") from exc
     if not isinstance(header, dict):
         raise ParseError(f"{path}: header must be a JSON object")

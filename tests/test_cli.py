@@ -143,6 +143,12 @@ class TestEvaluateSolveRoundtrip:
         assert rc == 5
         assert err.startswith("I/O error:") and "must be" in err and "Traceback" not in err
 
+    def test_deeply_nested_header_exit_5(self, tmp_path, capsys):
+        cpath = tmp_path / "c.bin"
+        cpath.write_bytes(b"[" * 200000 + b"]" * 200000 + b"\n" + bytes(128))
+        rc = main(["evaluate", str(cpath), "--grid", "g", "--out", str(tmp_path / "o.bin")])
+        assert_error(capsys, rc, 5, "I/O error:")
+
     def test_grid_path_relative_to_data_file(self, setup, tmp_path, monkeypatch):
         E, F, gpath, coeffs, cpath = setup
         sub = tmp_path / "sub"
@@ -243,6 +249,23 @@ class TestFrequencyGrid:
         save_grid(build_polar_grid(1, [0.7, 1.4, 2.1], 6, kind="frequency"), fpath)
         rc = main(["interpolate", str(spath), "--frequency-grid", str(fpath), "--out", str(out)])
         assert_error(capsys, rc, 3, "grid error: interpolation cannot use a spatial grid that holds the origin")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "points",
+        [(SlicePoint(1.0, 0.0), SlicePoint(1.0, np.pi / 2 - 1e-14)), (SlicePoint(1e-14, 0.3),)],
+        ids=["copies-1e-14-apart", "radius-1e-14"],
+    )
+    def test_interpolate_full_grid_duplicates_exit_3(self, tmp_path, capsys, points):
+        # Distinct slice points whose full-grid copies coincide within DUPLICATE_TOL.
+        from rotap import save_grid
+
+        E = RotInvariantGrid(4, points, "spatial")
+        spath, fpath, out = tmp_path / "s.bin", tmp_path / "F.json", tmp_path / "o.bin"
+        save_samples(spath, SampleArray(np.ones((4, len(points))), E))
+        save_grid(build_polar_grid(1, [0.7, 1.4][: len(points)], 4, kind="frequency"), fpath)
+        rc = main(["interpolate", str(spath), "--frequency-grid", str(fpath), "--out", str(out)])
+        assert_error(capsys, rc, 3, "grid error:")
         assert not out.exists()
 
 
@@ -499,8 +522,11 @@ class TestErrorContract:
             ('{"N": 4}', 5, "I/O error:"),
             ('{"N": 4, "points": [[1, 0], [0, 1]', 5, "I/O error:"),
             ('{"N": 4, "points": [1, 0, 0, 1, -1]}', 5, "I/O error:"),
+            ("[" * 200000 + "]" * 200000, 5, "I/O error:"),
+            # A one-point orbit must be refused without allocating anything of size N.
+            ('{"N": 1000000000000, "points": [[1, 0]]}', 3, "grid error:"),
         ],
-        ids=["list-without-N", "no-points", "malformed-json", "odd-coordinates"],
+        ids=["list-without-N", "no-points", "malformed-json", "odd-coordinates", "deep-nesting", "huge-N"],
     )
     def test_bad_points_file_exit_code(self, tmp_path, capsys, text, code, prefix):
         src = tmp_path / "pts.json"

@@ -199,6 +199,16 @@ class TestValidation:
         with pytest.raises(InvalidGrid):
             RotInvariantGrid(4, pts).validate()
 
+    @pytest.mark.parametrize(
+        "points",
+        [(SlicePoint(1.0, 0.0), SlicePoint(1.0, TWO_PI / 4 - 1e-14)), (SlicePoint(1e-14, 0.3),)],
+        ids=["copies-1e-14-apart", "radius-1e-14"],
+    )
+    def test_full_grid_duplicates_rejected(self, points):
+        # Distinct in the slice, but two points of the full grid lie within 1.4e-14.
+        with pytest.raises(InvalidGrid, match="full-grid copy"):
+            RotInvariantGrid(4, points).validate()
+
     def test_angle_out_of_slice(self):
         with pytest.raises(InvalidGrid):
             RotInvariantGrid(4, (SlicePoint(1.0, TWO_PI / 4),)).validate()

@@ -195,8 +195,7 @@ class TestPrefactorize:
         assert 0 <= exc.value.bin_index < 4
 
     def test_first_singular_bin_is_named(self, rng):
-        # Only bins 2 and 3 are singular; the stacked inverse fails as a
-        # whole, and the error must still name bin 2.
+        # Only bins 2 and 3 are singular; the error must name the first, bin 2.
         blocks = assemble_blocks(random_slice_grid(rng, 5, 3), random_slice_grid(rng, 5, 3, "frequency"))
         stack = blocks.blocks.copy()
         stack[2, 1] = stack[2, 0]
@@ -417,6 +416,25 @@ class TestApproximate:
             delta *= 1e-3 / np.linalg.norm(delta)
             perturbed = ApCoefficients(c.values + delta, F)
             assert approximation_objective(perturbed, samples, blocks, w) >= best - 1e-12 * best
+
+    def test_objective_counts_the_origin_N_times(self, rng):
+        # The (N, P) layout holds the origin once per rotation, so its
+        # residual enters the least squares N times.
+        N = 5
+        E = RotInvariantGrid(N, (SlicePoint(0.0, 0.0), SlicePoint(1.0, 0.2), SlicePoint(2.0, 0.5)), "spatial").validate()
+        F = build_polar_grid(1, [0.7, 1.6], N, kind="frequency")
+        c = random_coefficients(rng, F)
+        values = rng.standard_normal((N, 3)) + 1j * rng.standard_normal((N, 3))
+        values[:, 0] = values[0, 0]  # one sample for the one origin point
+        w = banded_weights(F, 0.3)
+        fitted = evaluate_naive(c, E).values
+        dense = (
+            np.sum((w.values * np.abs(dft_rotation_axis(c.values))) ** 2)
+            + np.sum(np.abs(values[:, 1:] - fitted[:, 1:]) ** 2)
+            + N * abs(values[0, 0] - fitted[0, 0]) ** 2
+        )
+        objective = approximation_objective(c, SampleArray(values, E), assemble_blocks(E, F), w)
+        assert objective == pytest.approx(dense, rel=1e-12)
 
     def test_banded_weight_scheme(self):
         F = build_polar_grid(1, [0.5, 1.2, 2.5], 4, kind="frequency")
