@@ -11,7 +11,9 @@ angle difference alpha-omega.  The sum over r is a DFT: bin n_hat of the
 length-N DFT over r of the slice kernel exp(i*xi*rho*cos(alpha-omega+2*pi*r/N)).
 Stacking the cos and sin of the slice kernel's phases over a spatial slice E
 and a frequency slice F and multiplying by real DFT matrices (GEMMs) gives
-all N P x Q blocks of the discrete Fourier-Bessel operator at once.
+all N P x Q blocks of the discrete Fourier-Bessel operator at once.  On an
+axis grid pair (N even, every slice angle 0) block n is i^m times a real
+matrix, m = min(n, N-n), and only those N/2+1 real matrices are stored.
 
 The classical Bessel function J_n is provided as an independent quadrature
 oracle: as N grows, the kernel scaled by 1/N converges to
@@ -79,23 +81,45 @@ def _is_mirrored(stack: np.ndarray) -> bool:
 
 
 @functools.lru_cache(maxsize=None)
-def _dft_blocks(N: int) -> tuple[tuple[slice, slice, np.ndarray], ...]:
+def _dft_blocks(N: int, axis: bool = False) -> tuple[tuple[slice, slice, np.ndarray], ...]:
     """The DFT over r as real matrices: (bins, rows, matrix) triples.
 
     ``matrix`` maps rows ``rows`` of the slice kernel's [cos; sin] array to
-    [Re; Im] of bins ``bins``.  Odd N and N <= 2 take one block, the
-    2N x 2N real form of the DFT.  For even N > 2 the rows hold the first
-    N/2 rotations only, and A[r + N/2] = conj(A[r]) makes bin n of 0 ... N/2
-    2*sum_r Re A[r] w^{nr} for even n and 2i*sum_r Im A[r] w^{nr} for odd n,
-    w = exp(-2*pi*i/N): one block from the cos rows, one from the sin rows.
+    bins ``bins``.  There are three tables; w = exp(-2*pi*i/N).
+
+    - ``axis`` (even N, every angle difference 0): the phases of rotations
+      r and N/2 - r are negatives of each other, so the rows hold rotations
+      0 ... N/4 only.  The matrices give the real half-stack
+      S_n = i^-n * J_n of bins 0 ... N/2, even n from the cos rows and odd
+      n from the sin rows, each row weighted by the rotations it stands for.
+    - even N > 2: the rows hold the first N/2 rotations, and
+      A[r + N/2] = conj(A[r]) makes bin n of 0 ... N/2
+      2*sum_r Re A[r] w^{nr} for even n and 2i*sum_r Im A[r] w^{nr} for odd
+      n: one block from the cos rows, one from the sin rows, each giving
+      [Re; Im] of its bins.
+    - every other N: one block, the 2N x 2N real form of the DFT.
     """
 
     def twiddles(bins: np.ndarray, rotations: int) -> tuple[np.ndarray, np.ndarray]:
         angles = TWO_PI * ((bins[:, None] * np.arange(rotations)) % N) / N
         return np.cos(angles), np.sin(angles)
 
-    if _has_mirror(N):
-        half = N // 2
+    half = N // 2
+    if axis:
+        # Rotation r stands for r, N/2 - r, N/2 + r and N - r; at r = 0 and
+        # r = N/4 only two of them differ.
+        rotations = N // 4 + 1
+        weight = np.full(rotations, 4.0)
+        weight[0] = 2
+        if half % 2 == 0:
+            weight[-1] = 2
+        even, odd = np.arange(0, half + 1, 2), np.arange(1, half + 1, 2)
+        signs_even, signs_odd = (-1.0) ** (even[:, None] // 2), (-1.0) ** (odd[:, None] // 2)
+        blocks = (
+            (slice(0, half + 1, 2), slice(0, rotations), signs_even * weight * twiddles(even, rotations)[0]),
+            (slice(1, half + 1, 2), slice(rotations, 2 * rotations), signs_odd * weight * twiddles(odd, rotations)[0]),
+        )
+    elif _has_mirror(N):
         c_even, s_even = twiddles(np.arange(0, half + 1, 2), half)
         c_odd, s_odd = twiddles(np.arange(1, half + 1, 2), half)
         blocks = (
@@ -110,56 +134,76 @@ def _dft_blocks(N: int) -> tuple[tuple[slice, slice, np.ndarray], ...]:
     return blocks
 
 
-def _kernel_bins(products: np.ndarray, deltas: np.ndarray, N: int, out: np.ndarray | None = None) -> np.ndarray:
+def _kernel_bins(products: np.ndarray, deltas: np.ndarray | None, N: int, out: np.ndarray | None = None) -> np.ndarray:
     """All N kernel bins of every entry: the DFT over r of the slice kernel, as real GEMMs.
 
     ``products`` holds xi*rho, ``deltas`` holds alpha-omega; they broadcast to
     a shape S and the result has shape (N,) + S, bin n_hat at index n_hat.
     Both the scalar kernel and the block assembly go through this routine.
+    ``deltas=None`` stands for every angle difference 0 on even N (an axis
+    grid pair, see :func:`is_axis_pair`); the result is then the real
+    (N/2+1,) + S half-stack S with J_n = i^m * S_m, m = min(n, N-n).
 
     The phase xi*rho*cos(delta + 2*pi*r/N) comes by angle addition from
     xi*rho*cos(delta) and xi*rho*sin(delta), so each entry takes two trig
     calls beside the cos and sin of its phases.  Those fill one real
     (2*computed, S) array, and the cached matrices of :func:`_dft_blocks`
-    map it to the real and imaginary parts of the bins, in column blocks of
-    at most ``_GEMM_MULTIPLY_ADDS`` multiply-adds.
+    map it to the bins, in column blocks of at most ``_GEMM_MULTIPLY_ADDS``
+    multiply-adds.
 
     For even N > 2 the group holds the rotation by pi, and cos(t + pi) =
     -cos(t) gives the slice kernel A[r + N/2] = conj(A[r]).  So only the
     first N/2 rotations are computed, and the bins obey
     J_{N-n} = (-1)^n conj(J_n), the discrete J_{-n} = (-1)^n J_n: the GEMMs
     give bins 0 ... N/2 and bins N/2+1 ... N-1 are written as exact mirrors.
+    With delta = 0 the phases of r and N/2 - r are also negatives of each
+    other, so N/4 + 1 rotations suffice and every S_m is real.
     """
-    a = products * np.cos(deltas)
-    b = products * np.sin(deltas)
-    shape = a.shape
-    computed = N // 2 if _has_mirror(N) else N
-    blocks = _dft_blocks(N)
+    axis = deltas is None
+    half = N // 2
+    computed = N // 4 + 1 if axis else half if _has_mirror(N) else N
+    blocks = _dft_blocks(N, axis)
     steps = TWO_PI * np.arange(computed)[:, None] / N
+    if axis:
+        shape, size = products.shape, products.size
+    else:
+        a = products * np.cos(deltas)
+        b = products * np.sin(deltas)
+        shape, size = a.shape, a.size
     # One temporary per call: the slice kernel's cos and sin rows, then the
     # bins.  As separate arrays they took fresh pages in every chunk, and the
     # first assemblies of a process ran about 40% slower than later ones.
-    work = np.empty((2 * computed + sum(m.shape[0] for _, _, m in blocks), a.size))
+    work = np.empty((2 * computed + sum(m.shape[0] for _, _, m in blocks), size))
     slice_kernel = work[: 2 * computed]
     cos_rows, sin_rows = slice_kernel[:computed], slice_kernel[computed:]
-    np.multiply(a.reshape(-1), np.cos(steps), out=cos_rows)
-    np.multiply(b.reshape(-1), np.sin(steps), out=sin_rows)
-    phase = np.subtract(cos_rows, sin_rows, out=sin_rows)
+    if axis:
+        # The outer product as a matmul with inner length 1: each entry is one
+        # rounded product, as a broadcast multiply gives, but numpy buffers
+        # that multiply in 64 kB per operand and matmul writes in place.
+        phase = np.matmul(np.cos(steps), products.reshape(1, -1), out=sin_rows)
+    else:
+        np.multiply(a.reshape(-1), np.cos(steps), out=cos_rows)
+        np.multiply(b.reshape(-1), np.sin(steps), out=sin_rows)
+        phase = np.subtract(cos_rows, sin_rows, out=sin_rows)
     np.cos(phase, out=cos_rows)
     np.sin(phase, out=sin_rows)
     if out is None:
-        out = np.empty((N,) + shape, dtype=complex)
+        out = np.empty((half + 1,) + shape) if axis else np.empty((N,) + shape, dtype=complex)
     start = 2 * computed
     for bins, rows, matrix in blocks:
         parts = work[start : start + matrix.shape[0]]
         start += matrix.shape[0]
         cols = max(1, _GEMM_MULTIPLY_ADDS // matrix.size)
-        for c in range(0, a.size, cols):
+        for c in range(0, size, cols):
             np.matmul(matrix, slice_kernel[rows, c : c + cols], out=parts[:, c : c + cols])
-        count = matrix.shape[0] // 2
-        out[bins].real = parts[:count].reshape((count,) + shape)
-        out[bins].imag = parts[count:].reshape((count,) + shape)
-    return _mirror_bins(out) if computed < N else out
+        parts = parts.reshape((-1,) + shape)
+        if axis:
+            out[bins] = parts
+        else:
+            count = len(parts) // 2
+            out[bins].real = parts[:count]
+            out[bins].imag = parts[count:]
+    return _mirror_bins(out) if _has_mirror(N) and not axis else out
 
 
 def generalized_bessel(n_hat: int, lam, y, N: int) -> complex:
@@ -178,46 +222,98 @@ def generalized_bessel(n_hat: int, lam, y, N: int) -> complex:
     return complex(_kernel_bins(np.float64(xi * rho), np.float64(alpha - omega), N)[n_hat])
 
 
+def is_axis_pair(E: RotInvariantGrid, F: RotInvariantGrid) -> bool:
+    """Whether (E, F) is an axis grid pair: N even and every slice angle of E and F exactly 0.
+
+    On such a pair every angle difference is 0 and the grids are closed
+    under the reflection y -> -y, so the kernel sum is even in r and
+    J_{N-n} = J_n.  With J_{N-n} = (-1)^n conj(J_n) this makes
+    S_n = i^-n * J_n real, the discrete form of the fact that the Bessel
+    function J_n is real (DLMF 10.12).
+    """
+    return E.N % 2 == 0 and all(p.angle == 0 for p in E.points + F.points)
+
+
+@functools.lru_cache(maxsize=None)
+def _quarter_turns(N: int, sign: int = 1) -> np.ndarray:
+    """i^(sign * m) with m = min(n, N-n) for n = 0 ... N-1: bin n's phase over its real half-stack matrix."""
+    n = np.arange(N)
+    phases = np.array([1, 1j, -1, -1j])[(sign * np.minimum(n, N - n)) % 4]
+    phases.flags.writeable = False
+    return phases
+
+
+def _unfold(half: np.ndarray, N: int, sign: int = 1) -> np.ndarray:
+    """The complex (N, ...) stack of a real (N/2+1, ...) half-stack: bin n is i^(sign*m) * half[m], m = min(n, N-n).
+
+    Bins N/2+1 ... N-1 are copies of bins N/2-1 ... 1, so the stack obeys
+    stack[N-n] == (-1)^n conj(stack[n]) bitwise for every n.
+    """
+    h = len(half)
+    phases = _quarter_turns(N, sign)[:h].reshape((h,) + (1,) * (half.ndim - 1))
+    out = np.empty((N,) + half.shape[1:], dtype=complex)
+    np.multiply(phases, half, out=out[:h])
+    out[h:] = out[h - 2 : 0 : -1]
+    return out
+
+
 @dataclass(frozen=True)
 class FourierBesselBlocks:
     """The N Fourier-Bessel blocks for a (spatial, frequency) grid pair.
 
-    ``blocks`` is one (N, P, Q) array; ``blocks[n_hat]`` is the P x Q matrix
-    with entry (j, k) equal to the scalar kernel at (F.points[k], E.points[j]).
-    For even N > 2, :func:`assemble_blocks` computes bins 0 ... N/2 and
-    mirrors the rest, so ``blocks[N - n] == (-1)**n * blocks[n].conj()``
-    holds bitwise for every n.
+    ``blocks`` is one complex (N, P, Q) array; ``blocks[n_hat]`` is the P x Q
+    matrix with entry (j, k) equal to the scalar kernel at (F.points[k],
+    E.points[j]).  For even N > 2, ``blocks[N - n] == (-1)**n *
+    blocks[n].conj()`` holds bitwise for every n.
+
+    ``stack`` is the one array stored.  :func:`assemble_blocks` stores, on an
+    axis grid pair (:func:`is_axis_pair`), the real (N/2+1, P, Q) half-stack
+    S with J_n = i^m * S[m], m = min(n, N-n), a quarter of the complex
+    stack's bytes; ``blocks`` is then built from it on each access.  On every
+    other pair it stores the complex (N, P, Q) stack, computing bins
+    0 ... N/2 for even N > 2 and mirroring the rest, and ``blocks`` is that
+    array.  A stack built by hand is read by its dtype: complex is the full
+    stack, float the half-stack.
     """
 
     N: int
-    blocks: np.ndarray
+    stack: np.ndarray
     spatial_grid: RotInvariantGrid
     frequency_grid: RotInvariantGrid
 
     @property
+    def blocks(self) -> np.ndarray:
+        return self.stack if np.iscomplexobj(self.stack) else _unfold(self.stack, self.N)
+
+    @property
     def P(self) -> int:
-        return self.blocks.shape[1]
+        return self.stack.shape[1]
 
     @property
     def Q(self) -> int:
-        return self.blocks.shape[2]
+        return self.stack.shape[2]
 
 
 def assemble_blocks(E: RotInvariantGrid, F: RotInvariantGrid) -> FourierBesselBlocks:
-    """Assemble the N blocks of the discrete Fourier-Bessel operator on (E, F)."""
+    """Assemble the N blocks of the discrete Fourier-Bessel operator on (E, F).
+
+    Axis grid pairs get the real half-stack, every other pair the complex
+    stack (see :class:`FourierBesselBlocks`).
+    """
     if E.N != F.N:
         raise GridMismatch(f"spatial grid has N={E.N}, frequency grid has N={F.N}")
     N = E.N
     rho, alpha = E.slice_polar()
     xi, omega = F.slice_polar()
-    products = rho[:, None] * xi[None, :]
-    deltas = alpha[:, None] - omega[None, :]
-    P, Q = products.shape
-    blocks = np.empty((N, P, Q), dtype=complex)
+    P, Q = len(rho), len(xi)
+    axis = is_axis_pair(E, F)
+    stack = np.empty((N // 2 + 1, P, Q)) if axis else np.empty((N, P, Q), dtype=complex)
     rows = max(1, _CHUNK_ENTRIES // max(1, N * Q))
     for j in range(0, P, rows):
-        _kernel_bins(products[j : j + rows], deltas[j : j + rows], N, out=blocks[:, j : j + rows])
-    return FourierBesselBlocks(N, blocks, E, F)
+        products = rho[j : j + rows, None] * xi[None, :]
+        deltas = None if axis else alpha[j : j + rows, None] - omega[None, :]
+        _kernel_bins(products, deltas, N, out=stack[:, j : j + rows])
+    return FourierBesselBlocks(N, stack, E, F)
 
 
 def classical_bessel(n: int, x: float) -> float:

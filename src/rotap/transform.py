@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bessel import FourierBesselBlocks, _is_mirrored, _mirror_bins
+from .bessel import FourierBesselBlocks, _is_mirrored, _mirror_bins, _quarter_turns, _unfold
 from .errors import DomainError, GridMismatch, ParseError, TrivialStabilizer, WellPosednessError
 from .grids import RotInvariantGrid, grid_from_dict, grid_to_dict, load_grid
 
@@ -94,17 +94,50 @@ def dft_rotation_axis(values: np.ndarray, direction: str = "forward") -> np.ndar
     raise ValueError(f"unknown direction {direction!r}")
 
 
-def _solve_bins(stack: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The per-bin product of every DFT bin in one call: row n_hat is stack[n_hat] @ x[n_hat].
+def _bin_pairs(x: np.ndarray) -> np.ndarray:
+    """The real (N/2+1, Q, 4) view of bins m and N-m of x, side by side: row m holds x[m] and x[N-m].
 
-    Evaluation passes the (N, P, Q) blocks, both solves the (N, Q, P)
-    operators.  One stacked matmul hands all bins to BLAS at once.  Median
-    time per call at N=64 on a 2-core machine, Q = 32 / 64 / 128: 0.03-0.04 /
-    0.21-0.23 / 0.52 ms, against 0.13-0.19 / 0.35 / 0.69-0.70 ms for a Python
-    loop of N matvecs and 0.12-0.15 / 0.48-0.51 / 2.1 ms for np.einsum, which
-    runs its own loop without BLAS.
+    Built from slices: fancy-index gathers were no faster.  Row 0 has no
+    partner and its second column is 0; row N/2 holds x[N/2] twice.
     """
-    return np.matmul(stack, x[..., None])[..., 0]
+    N = len(x)
+    pairs = np.empty((N // 2 + 1, x.shape[1], 2), dtype=complex)
+    pairs[:, :, 0] = x[: N // 2 + 1]
+    pairs[0, :, 1] = 0
+    pairs[1:, :, 1] = x[N - 1 : N // 2 - 1 : -1]
+    return pairs.view(float)
+
+
+def _solve_bins(stack: np.ndarray, x: np.ndarray, sign: int) -> np.ndarray:
+    """The per-bin product of every DFT bin in one call: row n_hat is bin n_hat's matrix @ x[n_hat].
+
+    Evaluation passes the stored blocks with ``sign`` 1, both solves the
+    stored operators with ``sign`` -1.  A complex (N, ...) stack goes to one
+    stacked matmul.  A real (N/2+1, ...) half-stack S, whose bin n is
+    i^(sign*m) * S[m] with m = min(n, N-n), serves bins m and N-m with one
+    matrix: one real stacked matmul of S with :func:`_bin_pairs` (4 real
+    columns per bin), then the phases i^(sign*m) as the bins are put back
+    in order.
+
+    Median time per call at N=64 on a 2-core machine, Q = 32 / 64 / 128,
+    on the interpolation operators of the bench grids: this function on the
+    real half-stack 0.017 / 0.038 / 0.19 ms, its real matmul alone
+    0.0078 / 0.022 / 0.16 ms; on the complex (N, Q, P) operators one
+    stacked matmul 0.017 / 0.12 / 0.32 ms, a Python loop of N matvecs
+    0.071 / 0.19 / 0.40 ms and np.einsum, which runs its own loop without
+    BLAS, 0.063 / 0.25 / 0.97 ms.  At Q=128 a complex half-stack with a
+    2-column product (0.58 against 0.32 ms) and the complex stack through an
+    interleaved real view (0.52 against 0.30 ms) were slower.
+    """
+    if np.iscomplexobj(stack):
+        return np.matmul(stack, x[..., None])[..., 0]
+    N, h = len(x), len(stack)
+    products = np.matmul(stack, _bin_pairs(x)).view(complex)
+    phases = _quarter_turns(N, sign)[:, None]
+    out = np.empty((N, stack.shape[1]), dtype=complex)
+    np.multiply(products[:, :, 0], phases[:h], out=out[:h])
+    np.multiply(products[h - 2 : 0 : -1, :, 1], phases[h:], out=out[h:])
+    return out
 
 
 def evaluate_naive(coeffs: ApCoefficients, E: RotInvariantGrid) -> SampleArray:
@@ -135,7 +168,7 @@ def evaluate_fast(coeffs: ApCoefficients, blocks: FourierBesselBlocks) -> Sample
     if not coeffs.frequency_grid.same_geometry(blocks.frequency_grid):
         raise GridMismatch("coefficient grid does not match the blocks' frequency grid")
     chat = dft_rotation_axis(coeffs.values, "forward")
-    shat = _solve_bins(blocks.blocks, chat)
+    shat = _solve_bins(blocks.stack, chat, 1)
     return SampleArray(dft_rotation_axis(shat, "inverse"), blocks.spatial_grid)
 
 
@@ -143,10 +176,11 @@ def evaluate_fast(coeffs: ApCoefficients, blocks: FourierBesselBlocks) -> Sample
 class BlockFactorization:
     """Prefactorized per-bin solver state.
 
-    ``operators`` is a C-contiguous (N, Q, P) array: ``operators[n_hat]`` maps
-    bin n_hat of the transformed samples to bin n_hat of the transformed
-    coefficients, so every solve is one matrix-vector product per bin, O(Q^2)
-    for interpolation and O(QP) for approximation.
+    ``operators`` is a C-contiguous complex (N, Q, P) array:
+    ``operators[n_hat]`` maps bin n_hat of the transformed samples to bin
+    n_hat of the transformed coefficients, so every solve is one
+    matrix-vector product per bin, O(Q^2) for interpolation and O(QP) for
+    approximation.
 
     Interpolation mode stores J^-1 per bin, with the exact condition number
     ||J||_1 ||J^-1||_1 in ``conditions``.  Approximation mode stores
@@ -155,13 +189,23 @@ class BlockFactorization:
     factored on its own.  When :func:`prefactorize` mirrors (see there),
     ``operators[N - n] == (-1)**n * operators[n].conj()`` and
     ``conditions[N - n] == conditions[n]`` hold bitwise for every n.
+
+    ``stack`` is the one array stored: the complex (N, Q, P) operators, or,
+    when :func:`prefactorize` ran on a real half-stack, the real
+    (N/2+1, Q, P) stack T with operators[n] = i^-m * T[m],
+    m = min(n, N-n), the conjugate of the blocks' phase.  ``operators`` is
+    then built from it on each access.
     """
 
     mode: str  # "interpolation" | "approximation"
     spatial_grid: RotInvariantGrid
     frequency_grid: RotInvariantGrid
-    operators: np.ndarray
+    stack: np.ndarray
     conditions: tuple[float, ...]
+
+    @property
+    def operators(self) -> np.ndarray:
+        return self.stack if np.iscomplexobj(self.stack) else _unfold(self.stack, len(self.conditions), -1)
 
 
 def prefactorize(blocks: FourierBesselBlocks, mode: str, weights: Weights | None = None) -> BlockFactorization:
@@ -178,14 +222,22 @@ def prefactorize(blocks: FourierBesselBlocks, mode: str, weights: Weights | None
     20.2 / 66.9 ms), and a stacked approximation raised the fit-n64-q64
     benchmark's peak RSS from 78.7 to 88.7 MB.  Only numpy's LAPACK is used.
 
-    Half the spectrum.  When the blocks obey
+    Half the spectrum.  Blocks stored as a real half-stack S (axis grid
+    pairs, see :class:`~rotap.bessel.FourierBesselBlocks`) are factored in
+    real arithmetic over bins 0 ... N/2: J_n = i^m S_m gives
+    J_n^-1 = i^-m S_m^-1 and, since J_n* J_n = S_m^T S_m,
+    (J_n* J_n + diag(d^2))^-1 J_n* = i^-m (S_m^T S_m + diag(d^2))^-1 S_m^T,
+    with the same condition numbers.  The operators are stored as the real
+    half-stack of those matrices.  In approximation mode this needs the
+    weights to obey ``d[N - n] == d[n]`` bitwise; other weights factor the
+    complex ``blocks.blocks`` as below.  Complex blocks that obey
     ``blocks[N - n] == (-1)**n * blocks[n].conj()`` bitwise for every n
-    (even N > 2, as :func:`~rotap.bessel.assemble_blocks` builds them) and,
-    in approximation mode, the weights obey ``d[N - n] == d[n]`` bitwise,
-    only bins 0 ... N/2 are factored, and the operators and conditions of
-    bins N/2+1 ... N-1 are written as their exact mirrors.  Every other
-    input, such as odd N, a hand-built stack or weights that differ between
-    mirrored bins, has every bin factored.
+    (even N > 2, as :func:`~rotap.bessel.assemble_blocks` builds them) with,
+    in approximation mode, mirrored weights have bins 0 ... N/2 factored,
+    and the operators and conditions of bins N/2+1 ... N-1 written as their
+    exact mirrors.  Every other input, such as odd N, a hand-built complex
+    stack or weights that differ between mirrored bins, has every bin
+    factored.
 
     Interpolation needs N*P distinct points, so a spatial grid that holds
     the origin (fixed by every rotation) raises
@@ -195,7 +247,6 @@ def prefactorize(blocks: FourierBesselBlocks, mode: str, weights: Weights | None
     finite.  A finite condition, however large, is for the caller to judge.
     """
     N, P, Q = blocks.N, blocks.P, blocks.Q
-    stack = blocks.blocks
     if mode == "interpolation":
         if P != Q:
             raise GridMismatch(f"interpolation requires P == Q, got P={P}, Q={Q}")
@@ -212,9 +263,14 @@ def prefactorize(blocks: FourierBesselBlocks, mode: str, weights: Weights | None
             raise GridMismatch(f"weights shape {d.shape} does not match (N, Q)=({N}, {Q})")
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    mirrored = _is_mirrored(stack) and (mode == "interpolation" or np.array_equal(d[1:], d[:0:-1]))
-    bins = N // 2 + 1 if mirrored else N
-    operators = np.empty((N, Q, P), dtype=complex)
+    mirrored_weights = mode == "interpolation" or np.array_equal(d[1:], d[:0:-1])
+    stack = blocks.stack if mirrored_weights else blocks.blocks
+    if np.iscomplexobj(stack):
+        bins = N // 2 + 1 if mirrored_weights and _is_mirrored(stack) else N
+        operators = np.empty((N, Q, P), dtype=complex)
+    else:
+        bins = len(stack)
+        operators = np.empty((bins, Q, P))
     conds = np.empty(bins)
     for n_hat, b in enumerate(stack[:bins]):
         try:
@@ -234,7 +290,8 @@ def prefactorize(blocks: FourierBesselBlocks, mode: str, weights: Weights | None
     if bad.size:
         raise WellPosednessError(int(bad[0]), float(conds[bad[0]]))
     if bins < N:
-        _mirror_bins(operators)
+        if np.iscomplexobj(operators):
+            _mirror_bins(operators)
         conds = np.concatenate((conds, conds[-2:0:-1]))
     return BlockFactorization(mode, blocks.spatial_grid, blocks.frequency_grid, operators, tuple(conds.tolist()))
 
@@ -245,7 +302,7 @@ def _solve(samples: SampleArray, fact: BlockFactorization, mode: str) -> ApCoeff
     if not samples.spatial_grid.same_geometry(fact.spatial_grid):
         raise GridMismatch("sample grid does not match the factorization's spatial grid")
     what = dft_rotation_axis(samples.values, "forward")
-    vhat = _solve_bins(fact.operators, what)
+    vhat = _solve_bins(fact.stack, what, -1)
     return ApCoefficients(dft_rotation_axis(vhat, "inverse"), fact.frequency_grid)
 
 

@@ -11,6 +11,7 @@ from rotap import (
     DomainError,
     assemble_blocks,
     build_polar_grid,
+    canonicalize,
     classical_bessel,
     generalized_bessel,
     kernel_limit_error,
@@ -94,7 +95,7 @@ class TestGeneralizedBessel:
         assert a == pytest.approx(b.conjugate(), abs=1e-12)
 
 
-@pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6, 8, 12, 64, 256])
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6, 8, 12, 64, 255, 256])
 def test_kernel_bins_match_fft_reference(N):
     # N runs across _has_mirror's M > 2 threshold; products reach bench scale.
     # The reference takes every rotation's exponential and a length-N FFT.
@@ -107,6 +108,22 @@ def test_kernel_bins_match_fft_reference(N):
     want = np.fft.fft(np.exp(1j * products * np.cos(deltas + rotations)), axis=0)
     got = bessel._kernel_bins(products, deltas, N)
     assert got.shape == (N, 4, 8)
+    bound = 4 * np.finfo(float).eps * products.max()
+    assert np.abs(got - want).max() <= bound * np.abs(want).max()
+
+
+@pytest.mark.parametrize("N", [2, 4, 6, 8, 12, 64, 256])
+def test_axis_kernel_bins_match_fft_reference(N):
+    # deltas=None is the axis case, every angle difference 0: the real
+    # half-stack S with J_n = i^m S_m, m = min(n, N - n), against the FFT of
+    # the full slice kernel at delta = 0, to the bound of the test above.
+    rng = np.random.default_rng(N)
+    products = rng.uniform(0.0, 1.1e3, (4, 8))
+    rotations = (2 * math.pi * np.arange(N) / N).reshape(N, 1, 1)
+    want = np.fft.fft(np.exp(1j * products * np.cos(rotations)), axis=0)
+    half = bessel._kernel_bins(products, None, N)
+    assert half.dtype == float and half.shape == (N // 2 + 1, 4, 8)
+    got = np.array([1j ** min(n, N - n) * half[min(n, N - n)] for n in range(N)])
     bound = 4 * np.finfo(float).eps * products.max()
     assert np.abs(got - want).max() <= bound * np.abs(want).max()
 
@@ -143,20 +160,23 @@ class TestAssembleBlocks:
                     assert abs(got - want) < 1e-14
 
     @pytest.mark.parametrize(
-        "N, P, Q, spatial_radii, frequency_radii",
+        "N, P, Q, spatial_radii, frequency_radii, rays",
         [
-            (7, 4, 1200, (0.5, 4.0), (0.1, 9.0)),
-            (64, 6, 128, (0.5, 4.0), (0.1, 9.0)),
-            (64, 6, 128, (1.0, 33.0), (1.0, 33.0)),
+            (7, 4, 1200, (0.5, 4.0), (0.1, 9.0), 2),
+            (64, 6, 128, (0.5, 4.0), (0.1, 9.0), 2),
+            (64, 6, 128, (1.0, 33.0), (1.0, 33.0), 2),
+            (64, 6, 128, (1.0, 33.0), (1.0, 33.0), 1),
         ],
-        ids=["7-4-1200", "64-6-128", "64-6-128-bench-radii"],
+        ids=["7-4-1200", "64-6-128", "64-6-128-bench-radii", "64-6-128-axis-bench-radii"],
     )
-    def test_entries_match_direct_sum(self, N, P, Q, spatial_radii, frequency_radii):
+    def test_entries_match_direct_sum(self, N, P, Q, spatial_radii, frequency_radii, rays):
         # P is not a multiple of the rows per chunk, so the last chunk is partial.
         # The bench radii linspace(1, 33) take products xi*rho up to about 1e3.
+        # One ray on each grid makes an axis pair, assembled as a real half-stack.
         assert P % (bessel._CHUNK_ENTRIES // (N * Q)) != 0
-        E = build_polar_grid(2, np.linspace(*spatial_radii, P // 2), N, kind="spatial")
+        E = build_polar_grid(rays, np.linspace(*spatial_radii, P // rays), N, kind="spatial")
         F = build_polar_grid(1, np.linspace(*frequency_radii, Q), N, kind="frequency")
+        assert bessel.is_axis_pair(E, F) == (rays == 1)
         blocks = assemble_blocks(E, F).blocks
         assert blocks.shape == (N, P, Q)
         scale = np.abs(blocks).max()
@@ -194,7 +214,38 @@ class TestAssembleBlocks:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.1 * blocks.blocks.nbytes
+        # The bench grids are an axis pair: the stored stack is the real
+        # (N/2+1, P, Q) half-stack, and ``blocks.blocks`` is built on access.
+        assert peak <= 1.1 * blocks.stack.nbytes
+
+    @pytest.mark.parametrize("N", [2, 4, 6, 8, 12, 64])
+    def test_axis_pair_stores_real_half_stack(self, N):
+        # blocks[n] = i^m * stack[m], m = min(n, N - n), built on access as a
+        # complex, C-contiguous, bitwise mirrored (N, P, Q) array.
+        E, F = square_bench_grids(N, 12)
+        assert bessel.is_axis_pair(E, F)
+        assembled = assemble_blocks(E, F)
+        stack, blocks = assembled.stack, assembled.blocks
+        assert stack.dtype == float and stack.shape == (N // 2 + 1, 12, 12)
+        assert blocks.dtype == complex and blocks.shape == (N, 12, 12) and blocks.flags.c_contiguous
+        for n in range(N):
+            m = min(n, N - n)
+            assert np.array_equal(blocks[n], 1j**m * stack[m])
+            assert np.array_equal(blocks[-n], (-1) ** n * blocks[n].conj())
+
+    def test_axis_pair_predicate(self):
+        # N even and every slice angle exactly 0; a canonicalized polar point
+        # set qualifies, a second ray, odd N or a turned slice point does not.
+        radii = np.linspace(1, 4, 5)
+        E, F = square_grid_pair(8, radii)
+        assert bessel.is_axis_pair(E, F)
+        points = E.full_xy().reshape(-1, 2)[::-1]
+        assert bessel.is_axis_pair(canonicalize(points, 8), F)
+        assert not bessel.is_axis_pair(*demo_grids())
+        assert not bessel.is_axis_pair(*square_grid_pair(7, radii))
+        turned = RotInvariantGrid(8, (SlicePoint(1.0, 0.1),), "spatial").validate()
+        assert not bessel.is_axis_pair(turned, F)
+        assert not np.isrealobj(assemble_blocks(turned, F).stack)
 
     def test_mismatched_N(self):
         from rotap import GridMismatch

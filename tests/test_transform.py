@@ -330,6 +330,88 @@ class TestPrefactorize:
             prefactorize(assemble_blocks(E, F), "interpolation")
 
 
+def axis_grids(N):
+    """A bench axis pair: one ray per slice, every slice angle 0; Q = 64 at N = 64 keeps bin N/2 well-conditioned."""
+    return square_bench_grids(N, 64 if N == 64 else 16)
+
+
+def relative_error(got, want):
+    return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+
+class TestRealHalfStack:
+    """Axis grid pairs store and factor the real half-stack; other inputs keep the complex path."""
+
+    def test_operators_match_scipy_references(self, rng):
+        import scipy.linalg
+
+        E, F = axis_grids(12)
+        blocks = assemble_blocks(E, F)
+        w = Weights(rng.uniform(0.1, 2.0, (12, 16)))
+        w = Weights(np.concatenate((w.values[:7], w.values[5:0:-1])))
+        interp = prefactorize(blocks, "interpolation")
+        approx = prefactorize(blocks, "approximation", w)
+        for fact in (interp, approx):
+            assert fact.stack.dtype == float and fact.stack.shape == (7, 16, 16)
+            assert fact.operators.shape == (12, 16, 16) and fact.operators.flags.c_contiguous
+            assert_mirrored(fact)
+        for n_hat, (b, want, cond) in enumerate(zip(blocks.blocks, *cholesky_reference(blocks, w))):
+            assert approx.conditions[n_hat] == pytest.approx(cond, rel=1e-12)
+            assert np.abs(approx.operators[n_hat] - want).max() <= 1e-12 * np.abs(want).max()
+            want = scipy.linalg.lu_solve(scipy.linalg.lu_factor(b), np.eye(16))
+            kappa_1 = np.linalg.norm(b, 1) * np.linalg.norm(want, 1)
+            assert interp.conditions[n_hat] == pytest.approx(kappa_1, rel=kappa_1 * 1e-15)
+            assert np.abs(interp.operators[n_hat] - want).max() <= kappa_1 * 1e-15 * np.abs(want).max()
+
+    @pytest.mark.parametrize("N", [2, 4, 6, 8, 12, 64])
+    def test_products_match_complex_path(self, N, rng):
+        # A complex stack built by hand from the same blocks keeps the complex path.
+        E, F = axis_grids(N)
+        Q = len(F.points)
+        blocks = assemble_blocks(E, F)
+        hand = FourierBesselBlocks(N, blocks.blocks, E, F)
+        assert np.isrealobj(blocks.stack) and np.iscomplexobj(hand.stack)
+        coeffs = random_coefficients(rng, F)
+        samples = SampleArray(rng.standard_normal((N, Q)) + 1j * rng.standard_normal((N, Q)), E)
+        got, want = evaluate_fast(coeffs, blocks).values, evaluate_fast(coeffs, hand).values
+        assert relative_error(got, want) <= 1e-12
+        w = banded_weights(F, 1.0)
+        got = approximate(samples, prefactorize(blocks, "approximation", w)).values
+        assert relative_error(got, approximate(samples, prefactorize(hand, "approximation", w)).values) <= 1e-12
+        interp = prefactorize(blocks, "interpolation")
+        got, want = interpolate(samples, interp).values, interpolate(samples, prefactorize(hand, "interpolation")).values
+        assert relative_error(got, want) <= max(interp.conditions) * 1e-15
+
+    def test_origin_grid_approximation(self, rng):
+        # The origin has angle 0, so a spatial grid holding it still makes an axis pair.
+        radii = np.linspace(1.0, 9.0, 16)
+        E = RotInvariantGrid(8, (SlicePoint(0.0, 0.0),) + axis_grids(8)[0].points, "spatial").validate()
+        F = build_polar_grid(1, radii, 8, kind="frequency")
+        blocks = assemble_blocks(E, F)
+        assert np.isrealobj(blocks.stack)
+        samples = SampleArray(rng.standard_normal((8, 17)) + 1j * rng.standard_normal((8, 17)), E)
+        w = banded_weights(F, 1.0)
+        got = approximate(samples, prefactorize(blocks, "approximation", w)).values
+        hand = FourierBesselBlocks(8, blocks.blocks, E, F)
+        assert relative_error(got, approximate(samples, prefactorize(hand, "approximation", w)).values) <= 1e-12
+
+    def test_unmirrored_weights_use_complex_path(self, rng):
+        # d[N-n] != d[n] cannot share one real operator between bins n and
+        # N-n: every bin of the complex blocks is factored, bitwise as for a
+        # hand-built complex stack.
+        E, F = axis_grids(8)
+        blocks = assemble_blocks(E, F)
+        w = Weights(rng.uniform(0.1, 2.0, (8, 16)))
+        fact = prefactorize(blocks, "approximation", w)
+        assert fact.stack.dtype == complex and fact.stack.shape == (8, 16, 16)
+        hand = prefactorize(FourierBesselBlocks(8, blocks.blocks, E, F), "approximation", w)
+        assert np.array_equal(fact.operators, hand.operators) and fact.conditions == hand.conditions
+        for n_hat, want in enumerate(cholesky_reference(blocks, w)[0]):
+            assert np.abs(fact.operators[n_hat] - want).max() <= 1e-12 * np.abs(want).max()
+        samples = SampleArray(rng.standard_normal((8, 16)) + 1j * rng.standard_normal((8, 16)), E)
+        assert np.array_equal(approximate(samples, fact).values, approximate(samples, hand).values)
+
+
 class TestInterpolate:
     def test_roundtrip(self, rng):
         E = random_slice_grid(rng, 8, 6)
