@@ -11,7 +11,10 @@ angle difference alpha-omega.  The sum over r is a DFT: bin n_hat of the
 length-N DFT over r of the slice kernel exp(i*xi*rho*cos(alpha-omega+2*pi*r/N)).
 Stacking the cos and sin of the slice kernel's phases over a spatial slice E
 and a frequency slice F and multiplying by real DFT matrices (GEMMs) gives
-all N P x Q blocks of the discrete Fourier-Bessel operator at once.  On an
+all N P x Q blocks of the discrete Fourier-Bessel operator at once.  Most
+of the remaining cost is the cos and sin of the phases; both come from one
+vectorized tan by the half-angle identity (:func:`_sincos`), since numpy
+computes float64 tan with SIMD but cos and sin one element at a time.  On an
 axis grid pair (N even, every slice angle 0) block n is i^m times a real
 matrix, m = min(n, N-n), and only those N/2+1 real matrices are stored.
 
@@ -81,11 +84,12 @@ def _is_mirrored(stack: np.ndarray) -> bool:
 
 
 @functools.lru_cache(maxsize=None)
-def _dft_blocks(N: int, axis: bool = False) -> tuple[tuple[slice, slice, np.ndarray], ...]:
-    """The DFT over r as real matrices: (bins, rows, matrix) triples.
+def _dft_blocks(N: int, axis: bool = False) -> tuple[tuple[slice, np.ndarray], ...]:
+    """The DFT over r as real matrices: (rows, matrix) pairs, one GEMM each.
 
     ``matrix`` maps rows ``rows`` of the slice kernel's [cos; sin] array to
-    bins ``bins``.  There are three tables; w = exp(-2*pi*i/N).
+    one part of the bins, which :func:`_kernel_bins` writes out.  There are
+    three tables; w = exp(-2*pi*i/N).
 
     - ``axis`` (even N, every angle difference 0): the phases of rotations
       r and N/2 - r are negatives of each other, so the rows hold rotations
@@ -97,7 +101,11 @@ def _dft_blocks(N: int, axis: bool = False) -> tuple[tuple[slice, slice, np.ndar
       2*sum_r Re A[r] w^{nr} for even n and 2i*sum_r Im A[r] w^{nr} for odd
       n: one block from the cos rows, one from the sin rows, each giving
       [Re; Im] of its bins.
-    - every other N: one block, the 2N x 2N real form of the DFT.
+    - every other N: the rows hold every rotation, and one matrix
+      [cos(2*pi*n*r/N); sin(2*pi*n*r/N)] over n = 0 ... N//2 takes the cos
+      rows and the sin rows to the four real sums that bins n and N - n
+      share (sum cos*cos, cos*sin, sin*cos, sin*sin), half the
+      multiply-adds of the 2N x 2N real form of the DFT.
     """
 
     def twiddles(bins: np.ndarray, rotations: int) -> tuple[np.ndarray, np.ndarray]:
@@ -116,22 +124,42 @@ def _dft_blocks(N: int, axis: bool = False) -> tuple[tuple[slice, slice, np.ndar
         even, odd = np.arange(0, half + 1, 2), np.arange(1, half + 1, 2)
         signs_even, signs_odd = (-1.0) ** (even[:, None] // 2), (-1.0) ** (odd[:, None] // 2)
         blocks = (
-            (slice(0, half + 1, 2), slice(0, rotations), signs_even * weight * twiddles(even, rotations)[0]),
-            (slice(1, half + 1, 2), slice(rotations, 2 * rotations), signs_odd * weight * twiddles(odd, rotations)[0]),
+            (slice(0, rotations), signs_even * weight * twiddles(even, rotations)[0]),
+            (slice(rotations, 2 * rotations), signs_odd * weight * twiddles(odd, rotations)[0]),
         )
     elif _has_mirror(N):
         c_even, s_even = twiddles(np.arange(0, half + 1, 2), half)
         c_odd, s_odd = twiddles(np.arange(1, half + 1, 2), half)
         blocks = (
-            (slice(0, half + 1, 2), slice(0, half), 2 * np.vstack([c_even, -s_even])),
-            (slice(1, half + 1, 2), slice(half, N), 2 * np.vstack([s_odd, c_odd])),
+            (slice(0, half), 2 * np.vstack([c_even, -s_even])),
+            (slice(half, N), 2 * np.vstack([s_odd, c_odd])),
         )
     else:
-        c, s = twiddles(np.arange(N), N)
-        blocks = ((slice(0, N), slice(0, 2 * N), np.block([[c, s], [-s, c]])),)
-    for _, _, matrix in blocks:
+        matrix = np.vstack(twiddles(np.arange(half + 1), N))
+        blocks = ((slice(0, N), matrix), (slice(N, 2 * N), matrix))
+    for _, matrix in blocks:
         matrix.flags.writeable = False
     return blocks
+
+
+def _sincos(phase: np.ndarray, cos_out: np.ndarray) -> None:
+    """Overwrite ``phase`` with its sines and ``cos_out`` with its cosines, by the half-angle identity.
+
+    With t = tan(phase/2) and s = 1 + t^2, sin = 2t/s and cos = 2/s - 1.
+    numpy computes float64 ``tan`` with SIMD where the CPU allows, but ``cos``
+    and ``sin`` one element at a time: on a 2-core AVX-512 machine these
+    seven passes took 1.9 ms for 278,528 phases, against 13-16 ms for
+    ``np.cos`` and ``np.sin``, within 3.3e-16 of them on [0, 4.3e3].  The
+    passes run in place, so no temporary is allocated.  |t| stays below
+    about 1e19 for every finite double, so s never overflows.
+    """
+    np.multiply(phase, 0.5, out=phase)
+    np.tan(phase, out=phase)
+    np.multiply(phase, phase, out=cos_out)
+    np.add(cos_out, 1, out=cos_out)
+    np.divide(2, cos_out, out=cos_out)
+    np.multiply(phase, cos_out, out=phase)
+    np.subtract(cos_out, 1, out=cos_out)
 
 
 def _kernel_bins(products: np.ndarray, deltas: np.ndarray | None, N: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -146,10 +174,11 @@ def _kernel_bins(products: np.ndarray, deltas: np.ndarray | None, N: int, out: n
 
     The phase xi*rho*cos(delta + 2*pi*r/N) comes by angle addition from
     xi*rho*cos(delta) and xi*rho*sin(delta), so each entry takes two trig
-    calls beside the cos and sin of its phases.  Those fill one real
-    (2*computed, S) array, and the cached matrices of :func:`_dft_blocks`
-    map it to the bins, in column blocks of at most ``_GEMM_MULTIPLY_ADDS``
-    multiply-adds.
+    calls beside the cos and sin of its phases.  Those are the cost that
+    remains, and :func:`_sincos` takes them from one vectorized ``tan`` by
+    the half-angle identity.  They fill one real (2*computed, S) array, and
+    the cached matrices of :func:`_dft_blocks` map it to the bins, in column
+    blocks of at most ``_GEMM_MULTIPLY_ADDS`` multiply-adds.
 
     For even N > 2 the group holds the rotation by pi, and cos(t + pi) =
     -cos(t) gives the slice kernel A[r + N/2] = conj(A[r]).  So only the
@@ -157,7 +186,10 @@ def _kernel_bins(products: np.ndarray, deltas: np.ndarray | None, N: int, out: n
     J_{N-n} = (-1)^n conj(J_n), the discrete J_{-n} = (-1)^n J_n: the GEMMs
     give bins 0 ... N/2 and bins N/2+1 ... N-1 are written as exact mirrors.
     With delta = 0 the phases of r and N/2 - r are also negatives of each
-    other, so N/4 + 1 rotations suffice and every S_m is real.
+    other, so N/4 + 1 rotations suffice and every S_m is real.  Every other
+    N computes all rotations; with CC = sum_r cos(phase_r)*cos(2*pi*n*r/N),
+    CS = sum_r cos(phase_r)*sin(2*pi*n*r/N) and likewise SC and SS, bin n is
+    (CC + SS) + i(SC - CS) and bin N - n is (CC - SS) + i(SC + CS).
     """
     axis = deltas is None
     half = N // 2
@@ -173,7 +205,7 @@ def _kernel_bins(products: np.ndarray, deltas: np.ndarray | None, N: int, out: n
     # One temporary per call: the slice kernel's cos and sin rows, then the
     # bins.  As separate arrays they took fresh pages in every chunk, and the
     # first assemblies of a process ran about 40% slower than later ones.
-    work = np.empty((2 * computed + sum(m.shape[0] for _, _, m in blocks), size))
+    work = np.empty((2 * computed + sum(m.shape[0] for _, m in blocks), size))
     slice_kernel = work[: 2 * computed]
     cos_rows, sin_rows = slice_kernel[:computed], slice_kernel[computed:]
     if axis:
@@ -185,25 +217,35 @@ def _kernel_bins(products: np.ndarray, deltas: np.ndarray | None, N: int, out: n
         np.multiply(a.reshape(-1), np.cos(steps), out=cos_rows)
         np.multiply(b.reshape(-1), np.sin(steps), out=sin_rows)
         phase = np.subtract(cos_rows, sin_rows, out=sin_rows)
-    np.cos(phase, out=cos_rows)
-    np.sin(phase, out=sin_rows)
+    _sincos(phase, cos_rows)
     if out is None:
         out = np.empty((half + 1,) + shape) if axis else np.empty((N,) + shape, dtype=complex)
+    results = []
     start = 2 * computed
-    for bins, rows, matrix in blocks:
+    for rows, matrix in blocks:
         parts = work[start : start + matrix.shape[0]]
         start += matrix.shape[0]
         cols = max(1, _GEMM_MULTIPLY_ADDS // matrix.size)
         for c in range(0, size, cols):
             np.matmul(matrix, slice_kernel[rows, c : c + cols], out=parts[:, c : c + cols])
-        parts = parts.reshape((-1,) + shape)
+        results.append(parts.reshape((-1,) + shape))
+    if not axis and not _has_mirror(N):
+        (cc, cs), (sc, ss) = ((parts[: half + 1], parts[half + 1 :]) for parts in results)
+        np.add(cc, ss, out=out[: half + 1].real)
+        np.subtract(sc, cs, out=out[: half + 1].imag)
+        paired = slice(1, N - half)  # n whose bin N - n lies beyond N//2
+        np.subtract(cc[paired], ss[paired], out=out[:half:-1].real)
+        np.add(sc[paired], cs[paired], out=out[:half:-1].imag)
+        return out
+    for parity, parts in enumerate(results):
+        bins = out[parity : half + 1 : 2]
         if axis:
-            out[bins] = parts
+            bins[...] = parts
         else:
             count = len(parts) // 2
-            out[bins].real = parts[:count]
-            out[bins].imag = parts[count:]
-    return _mirror_bins(out) if _has_mirror(N) and not axis else out
+            bins.real = parts[:count]
+            bins.imag = parts[count:]
+    return out if axis else _mirror_bins(out)
 
 
 def generalized_bessel(n_hat: int, lam, y, N: int) -> complex:

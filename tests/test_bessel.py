@@ -95,6 +95,42 @@ class TestGeneralizedBessel:
         assert a == pytest.approx(b.conjugate(), abs=1e-12)
 
 
+class TestSincos:
+    """The half-angle cos and sin of the kernel's phases, computed in place."""
+
+    def sincos(self, phase):
+        sin = np.array(phase, dtype=float)
+        cos = np.empty_like(sin)
+        bessel._sincos(sin, cos)
+        return cos, sin
+
+    def test_zero_phase_is_exact(self):
+        cos, sin = self.sincos(np.zeros(5))
+        assert np.all(cos == 1.0) and np.all(sin == 0.0)
+
+    def test_matches_long_double_reference(self):
+        # Phases over the bench range at Q = 128, plus the doubles nearest
+        # k*pi/2, where tan(phase/2) is near 0, +-1 or very large.
+        rng = np.random.default_rng(0)
+        phase = np.concatenate((rng.uniform(0.0, 4.3e3, 100_000), math.pi / 2 * np.arange(2738)))
+        cos, sin = self.sincos(phase)
+        exact = phase.astype(np.longdouble)
+        eps = np.finfo(float).eps
+        assert np.abs(cos - np.cos(exact)).max() <= 4 * eps
+        assert np.abs(sin - np.sin(exact)).max() <= 4 * eps
+
+    @pytest.mark.parametrize("axis", [False, True], ids=["complex", "axis"])
+    def test_huge_products_stay_finite(self, axis):
+        # A RuntimeWarning (overflow, or an invalid value from inf/inf) is an
+        # error under the test configuration.
+        products = np.geomspace(1.0, 1e300, 64).reshape(8, 8)
+        deltas = None if axis else np.linspace(-0.5, 0.5, 64).reshape(8, 8)
+        assert np.all(np.isfinite(bessel._kernel_bins(products, deltas, 8)))
+        cos, sin = self.sincos(np.concatenate((products.ravel(), -products.ravel())))
+        assert np.all(np.isfinite(cos) & np.isfinite(sin))
+        assert np.abs(cos**2 + sin**2 - 1).max() <= 4 * np.finfo(float).eps
+
+
 @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6, 8, 12, 64, 255, 256])
 def test_kernel_bins_match_fft_reference(N):
     # N runs across _has_mirror's M > 2 threshold; products reach bench scale.

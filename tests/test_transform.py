@@ -28,6 +28,7 @@ from rotap import (
     rotate_coefficients,
     translate_coefficients,
 )
+from rotap.cli import CONDITION_LIMIT
 from rotap.errors import TrivialStabilizer
 from rotap.grids import SlicePoint
 from rotap.harness import square_bench_grids
@@ -196,9 +197,11 @@ class TestPrefactorize:
 
     def test_first_singular_bin_is_named(self, rng):
         # Only bins 2 and 3 are singular; the error must name the first, bin 2.
+        # A zero row stays zero through elimination, so LAPACK meets an exact
+        # zero pivot under any rounding; a duplicated row need not give one.
         blocks = assemble_blocks(random_slice_grid(rng, 5, 3), random_slice_grid(rng, 5, 3, "frequency"))
         stack = blocks.blocks.copy()
-        stack[2, 1] = stack[2, 0]
+        stack[2, 1] = 0
         stack[3] = 0
         singular = FourierBesselBlocks(5, stack, blocks.spatial_grid, blocks.frequency_grid)
         with pytest.raises(WellPosednessError) as exc:
@@ -208,10 +211,11 @@ class TestPrefactorize:
 
     def test_first_singular_bin_is_named_even_N(self, rng):
         # Bin 4 is singular and its mirror, bin 2, is not: the stack is not
-        # mirrored, so every bin is factored and the error names bin 4.
+        # mirrored, so every bin is factored and the error names bin 4.  Its
+        # zero row gives an exact zero pivot under any rounding.
         blocks = assemble_blocks(random_slice_grid(rng, 6, 3), random_slice_grid(rng, 6, 3, "frequency"))
         stack = blocks.blocks.copy()
-        stack[4, 1] = stack[4, 0]
+        stack[4, 1] = 0
         singular = FourierBesselBlocks(6, stack, blocks.spatial_grid, blocks.frequency_grid)
         with pytest.raises(WellPosednessError) as exc:
             prefactorize(singular, "interpolation")
@@ -219,12 +223,19 @@ class TestPrefactorize:
         assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
 
     def test_duplicated_point_approximation_is_singular(self):
-        # J* J is exactly singular, so the Cholesky factorization itself fails.
+        # A duplicated point makes J* J singular only up to rounding: the
+        # Cholesky factorization fails at bin 0 for some points and not for
+        # others.  A zero column in bin 0 makes the first pivot of J* J an
+        # exact zero, so the factorization itself fails under any rounding.
         pts = (SlicePoint(1.0, 0.1), SlicePoint(1.0, 0.1))
         E = RotInvariantGrid(4, pts, "spatial")
         F = build_polar_grid(1, [0.5, 1.5], 4, kind="frequency")
+        blocks = assemble_blocks(E, F)
+        stack = blocks.blocks.copy()
+        stack[0, :, 0] = 0
+        singular = FourierBesselBlocks(4, stack, E, F)
         with pytest.raises(WellPosednessError) as exc:
-            prefactorize(assemble_blocks(E, F), "approximation", Weights.zero(4, 2))
+            prefactorize(singular, "approximation", Weights.zero(4, 2))
         assert exc.value.bin_index == 0
         assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
 
@@ -298,13 +309,22 @@ class TestPrefactorize:
 
     @pytest.mark.parametrize("Q", [32, 64, 128, None], ids=["bench-Q32", "bench-Q64", "bench-Q128", "demo"])
     def test_interpolation_conditions_track_cond(self, Q):
-        # kappa_1 and kappa_2 agree within a factor Q, also on blocks that are
-        # singular to working precision (bench-Q32 bin 32, the demo grid),
-        # which the library reports rather than rejects.
+        # On the bench grids kappa_1 and kappa_2 agree within a factor Q, also
+        # on bench-Q32 bin 32, which is singular to working precision and which
+        # the library reports rather than rejects.  Every demo block is
+        # singular to working precision (kappa_2 above 1e16 in every bin): the
+        # ratio is rounding noise there, and a relative change of 2.2e-16 to the
+        # blocks moves it outside [1/Q, Q] in many draws.  What holds under any
+        # rounding is what the CLI's gate decides: every bin lies beyond it.
         E, F = square_bench_grids(64, Q) if Q else demo_grids()
         blocks = assemble_blocks(E, F)
-        ratio = np.asarray(prefactorize(blocks, "interpolation").conditions) / np.linalg.cond(blocks.blocks)
-        assert np.all((1 / blocks.Q <= ratio) & (ratio <= blocks.Q))
+        kappa_1 = np.asarray(prefactorize(blocks, "interpolation").conditions)
+        kappa_2 = np.linalg.cond(blocks.blocks)
+        if Q is None:
+            assert np.all((kappa_1 > CONDITION_LIMIT) & (kappa_2 > CONDITION_LIMIT))
+        else:
+            ratio = kappa_1 / kappa_2
+            assert np.all((1 / blocks.Q <= ratio) & (ratio <= blocks.Q))
 
     def test_polar_grid_conditions_finite(self):
         E, F = square_grid_pair(8, [1.0, 2.0])
