@@ -42,15 +42,22 @@ def _polar(p) -> tuple[float, float]:
 
 
 # Entries of the slice kernel built per chunk of block rows: large enough to
-# amortize the per-call cost of the GEMM, small enough that the chunk's
-# temporaries stay near 1 MB beside the (N, P, Q) output.
-_CHUNK_ENTRIES = 1 << 15
+# amortize the per-call cost of the numpy passes and GEMMs, small enough that
+# the chunk's temporaries stay near 2 MB beside the (N, P, Q) output (256 kB on
+# the axis path, which writes its bins into the output).  On a 2-core machine
+# 1 << 16 assembled N=64, Q=128 in 2.9 ms against 3.5 ms at 1 << 15; 1 << 17
+# lifts the peak beyond 1.1 times the stack.  The chunk also sets where GEMM
+# column blocks end, and OpenBLAS rounds the columns of a block's last partial
+# tile differently, so another size moves some entries by an ulp.
+_CHUNK_ENTRIES = 1 << 16
 
 # Multiply-adds per GEMM call of the kernel's DFT, small enough that
 # OpenBLAS runs each call on one thread.  On a 2-core machine its two-thread
 # split was slower (64 x 64 x 250: 54 us, against 36 us for 64 x 64 x 200 on
 # one thread) and at times stalled near 15 ms per call.
 _GEMM_MULTIPLY_ADDS = 1 << 19
+# Columns per GEMM call below which a DFT table is split into bands of rows.
+_GEMM_COLUMNS = 32
 
 
 def _has_mirror(M: int) -> bool:
@@ -177,8 +184,12 @@ def _kernel_bins(products: np.ndarray, deltas: np.ndarray | None, N: int, out: n
     calls beside the cos and sin of its phases.  Those are the cost that
     remains, and :func:`_sincos` takes them from one vectorized ``tan`` by
     the half-angle identity.  They fill one real (2*computed, S) array, and
-    the cached matrices of :func:`_dft_blocks` map it to the bins, in column
-    blocks of at most ``_GEMM_MULTIPLY_ADDS`` multiply-adds.
+    the cached matrices of :func:`_dft_blocks` map it to the bins in GEMM
+    calls of at most ``_GEMM_MULTIPLY_ADDS`` multiply-adds each: blocks of
+    columns, and bands of the matrix's rows where it is too large for
+    ``_GEMM_COLUMNS`` columns.  On the axis path the GEMMs write the real
+    half-stack in place, into ``out``; the complex paths write real parts
+    to a temporary and combine them into ``out``.
 
     For even N > 2 the group holds the rotation by pi, and cos(t + pi) =
     -cos(t) gives the slice kernel A[r + N/2] = conj(A[r]).  So only the
@@ -203,16 +214,14 @@ def _kernel_bins(products: np.ndarray, deltas: np.ndarray | None, N: int, out: n
         b = products * np.sin(deltas)
         shape, size = a.shape, a.size
     # One temporary per call: the slice kernel's cos and sin rows, then the
-    # bins.  As separate arrays they took fresh pages in every chunk, and the
-    # first assemblies of a process ran about 40% slower than later ones.
-    work = np.empty((2 * computed + sum(m.shape[0] for _, m in blocks), size))
+    # bins of the complex paths.  As separate arrays they took fresh pages in
+    # every chunk, and the first assemblies of a process ran about 40% slower
+    # than later ones.  The axis path writes its bins straight into ``out``.
+    work = np.empty((2 * computed + (0 if axis else sum(len(m) for _, m in blocks)), size))
     slice_kernel = work[: 2 * computed]
     cos_rows, sin_rows = slice_kernel[:computed], slice_kernel[computed:]
     if axis:
-        # The outer product as a matmul with inner length 1: each entry is one
-        # rounded product, as a broadcast multiply gives, but numpy buffers
-        # that multiply in 64 kB per operand and matmul writes in place.
-        phase = np.matmul(np.cos(steps), products.reshape(1, -1), out=sin_rows)
+        phase = np.multiply(np.cos(steps), products.reshape(1, -1), out=sin_rows)
     else:
         np.multiply(a.reshape(-1), np.cos(steps), out=cos_rows)
         np.multiply(b.reshape(-1), np.sin(steps), out=sin_rows)
@@ -222,14 +231,30 @@ def _kernel_bins(products: np.ndarray, deltas: np.ndarray | None, N: int, out: n
         out = np.empty((half + 1,) + shape) if axis else np.empty((N,) + shape, dtype=complex)
     results = []
     start = 2 * computed
-    for rows, matrix in blocks:
-        parts = work[start : start + matrix.shape[0]]
-        start += matrix.shape[0]
-        cols = max(1, _GEMM_MULTIPLY_ADDS // matrix.size)
-        for c in range(0, size, cols):
-            np.matmul(matrix, slice_kernel[rows, c : c + cols], out=parts[:, c : c + cols])
-        results.append(parts.reshape((-1,) + shape))
-    if not axis and not _has_mirror(N):
+    for parity, (rows, matrix) in enumerate(blocks):
+        if axis:
+            # Bins parity, parity + 2, ... of ``out`` as one (bins, entries) matrix
+            # that BLAS writes in place: within a bin the entries are contiguous.
+            # Assigning the shape raises where a view cannot be had; reshape would copy.
+            parts = out[parity : half + 1 : 2]
+            parts.shape = (len(matrix), size)
+        else:
+            parts = work[start : start + len(matrix)]
+            start += len(matrix)
+            results.append(parts.reshape((-1,) + shape))
+        # Each call stays under the cap.  A table too large for _GEMM_COLUMNS
+        # columns in one call is split into bands of rows, not into narrower
+        # column blocks, which at one column are matrix-vector products.
+        band = min(len(matrix), max(1, _GEMM_MULTIPLY_ADDS // (_GEMM_COLUMNS * matrix.shape[1])))
+        cols = max(1, _GEMM_MULTIPLY_ADDS // (band * matrix.shape[1]))
+        for b in range(0, len(matrix), band):
+            for c in range(0, size, cols):
+                np.matmul(
+                    matrix[b : b + band], slice_kernel[rows, c : c + cols], out=parts[b : b + band, c : c + cols]
+                )
+    if axis:
+        return out
+    if not _has_mirror(N):
         (cc, cs), (sc, ss) = ((parts[: half + 1], parts[half + 1 :]) for parts in results)
         np.add(cc, ss, out=out[: half + 1].real)
         np.subtract(sc, cs, out=out[: half + 1].imag)
@@ -239,13 +264,10 @@ def _kernel_bins(products: np.ndarray, deltas: np.ndarray | None, N: int, out: n
         return out
     for parity, parts in enumerate(results):
         bins = out[parity : half + 1 : 2]
-        if axis:
-            bins[...] = parts
-        else:
-            count = len(parts) // 2
-            bins.real = parts[:count]
-            bins.imag = parts[count:]
-    return out if axis else _mirror_bins(out)
+        count = len(parts) // 2
+        bins.real = parts[:count]
+        bins.imag = parts[count:]
+    return _mirror_bins(out)
 
 
 def generalized_bessel(n_hat: int, lam, y, N: int) -> complex:

@@ -75,11 +75,16 @@ class RotInvariantGrid:
                 raise InvalidGrid(f"angle {p.angle} outside slice [0, {width})")
         if origin_count > 1:
             raise InvalidGrid("the origin may appear at most once")
-        # The copy of slice point j nearest to slice point i is j or j turned by +-2*pi/N.
-        # The turned slice leaves out the origin, which every turn fixes, and is empty at N = 1.
+        # The copy of slice point j nearest to slice point i is j or j turned by +-2*pi/N,
+        # so the duplicates are the pairs of ``others`` within DUPLICATE_TOL: slice points
+        # against later slice points and against the turned slice, which leaves out the
+        # origin, fixed by every turn, and is empty at N = 1.
         z = self.slice_xy() @ np.array([1, 1j])
         moved = np.flatnonzero((z != 0) & (self.N > 1))
         others = np.concatenate((z, z[moved] * np.exp(1j * width)))
+        if not _has_close_pair(others):
+            return self
+        # Some pair is close: name the first slice point i with a close copy, and that copy.
         index = np.concatenate((np.arange(len(z)), moved))
         for i in range(len(z)):
             d = np.abs(others[i + 1 :] - z[i])
@@ -93,7 +98,8 @@ class RotInvariantGrid:
 
     def slice_xy(self) -> np.ndarray:
         """Slice points as an (P, 2) Cartesian array."""
-        return np.array([p.xy() for p in self.points], dtype=float).reshape(len(self.points), 2)
+        r, a = self.slice_polar()
+        return np.stack([r * np.cos(a), r * np.sin(a)], axis=-1)
 
     def slice_polar(self) -> tuple[np.ndarray, np.ndarray]:
         """Radii and angles of the slice points as two length-P arrays."""
@@ -110,6 +116,36 @@ class RotInvariantGrid:
 
     def same_geometry(self, other: "RotInvariantGrid") -> bool:
         return self.N == other.N and self.points == other.points
+
+
+def _has_close_pair(z: np.ndarray) -> bool:
+    """Whether two of the complex points ``z`` lie within DUPLICATE_TOL, by a sweep along one direction.
+
+    The points are sorted on u, their projection onto the direction at 1
+    radian, and entries k apart in u order are compared for k = 1, 2, ...,
+    each entry only while its u gap to the entry k ahead stays within
+    ``reach``; gaps only widen with k.  Two points within DUPLICATE_TOL have
+    projections within it too, and rounding moves each u by under
+    3*eps*|z|, so ``reach`` misses no pair.  On points spread along u the
+    sweep ends after a few O(P) passes; points that share u cost up to
+    O(P^2).  The direction lies off the axes, where grids put whole slices:
+    turned by a quarter, a slice at angle 0 has every x near 0.
+    """
+    if len(z) < 2:
+        return False
+    u = z.real * math.cos(1.0) + z.imag * math.sin(1.0)
+    order = np.argsort(u)
+    z, u = z[order], u[order]
+    reach = DUPLICATE_TOL + 8 * np.finfo(float).eps * (np.abs(z).max() + DUPLICATE_TOL)
+    near = np.arange(len(z))
+    for k in range(1, len(z)):
+        near = near[near < len(z) - k]
+        near = near[u[near + k] - u[near] <= reach]
+        if not near.size:
+            return False
+        if np.any(np.abs(z[near + k] - z[near]) <= DUPLICATE_TOL):
+            return True
+    return False
 
 
 def _fold(xy, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

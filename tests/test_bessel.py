@@ -131,9 +131,10 @@ class TestSincos:
         assert np.abs(cos**2 + sin**2 - 1).max() <= 4 * np.finfo(float).eps
 
 
-@pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6, 8, 12, 64, 255, 256])
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6, 8, 12, 64, 255, 256, 1023])
 def test_kernel_bins_match_fft_reference(N):
     # N runs across _has_mirror's M > 2 threshold; products reach bench scale.
+    # At N = 256 and 1023 the DFT tables are split into bands of rows.
     # The reference takes every rotation's exponential and a length-N FFT.
     # Both sides round phases of size up to 1.1e3, each to a few ulps, so the
     # bins agree to a few eps times the largest product, not to eps.
@@ -148,11 +149,12 @@ def test_kernel_bins_match_fft_reference(N):
     assert np.abs(got - want).max() <= bound * np.abs(want).max()
 
 
-@pytest.mark.parametrize("N", [2, 4, 6, 8, 12, 64, 256])
+@pytest.mark.parametrize("N", [2, 4, 6, 8, 12, 64, 256, 512])
 def test_axis_kernel_bins_match_fft_reference(N):
     # deltas=None is the axis case, every angle difference 0: the real
     # half-stack S with J_n = i^m S_m, m = min(n, N - n), against the FFT of
     # the full slice kernel at delta = 0, to the bound of the test above.
+    # At N = 512 the DFT tables are split into bands of rows.
     rng = np.random.default_rng(N)
     products = rng.uniform(0.0, 1.1e3, (4, 8))
     rotations = (2 * math.pi * np.arange(N) / N).reshape(N, 1, 1)
@@ -198,18 +200,20 @@ class TestAssembleBlocks:
     @pytest.mark.parametrize(
         "N, P, Q, spatial_radii, frequency_radii, rays",
         [
-            (7, 4, 1200, (0.5, 4.0), (0.1, 9.0), 2),
-            (64, 6, 128, (0.5, 4.0), (0.1, 9.0), 2),
-            (64, 6, 128, (1.0, 33.0), (1.0, 33.0), 2),
-            (64, 6, 128, (1.0, 33.0), (1.0, 33.0), 1),
+            (7, 10, 1200, (0.5, 4.0), (0.1, 9.0), 2),
+            (64, 10, 128, (0.5, 4.0), (0.1, 9.0), 2),
+            (64, 10, 128, (1.0, 33.0), (1.0, 33.0), 2),
+            (64, 10, 128, (1.0, 33.0), (1.0, 33.0), 1),
         ],
-        ids=["7-4-1200", "64-6-128", "64-6-128-bench-radii", "64-6-128-axis-bench-radii"],
+        ids=["7-10-1200", "64-10-128", "64-10-128-bench-radii", "64-10-128-axis-bench-radii"],
     )
     def test_entries_match_direct_sum(self, N, P, Q, spatial_radii, frequency_radii, rays):
-        # P is not a multiple of the rows per chunk, so the last chunk is partial.
+        # P spans at least two chunks of rows and is not a multiple of the rows
+        # per chunk, so the last chunk is partial.
         # The bench radii linspace(1, 33) take products xi*rho up to about 1e3.
         # One ray on each grid makes an axis pair, assembled as a real half-stack.
-        assert P % (bessel._CHUNK_ENTRIES // (N * Q)) != 0
+        rows = max(1, bessel._CHUNK_ENTRIES // (N * Q))
+        assert rows < P and P % rows != 0
         E = build_polar_grid(rays, np.linspace(*spatial_radii, P // rays), N, kind="spatial")
         F = build_polar_grid(1, np.linspace(*frequency_radii, Q), N, kind="frequency")
         assert bessel.is_axis_pair(E, F) == (rays == 1)

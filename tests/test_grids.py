@@ -20,6 +20,8 @@ from rotap import (
     slice_of,
 )
 
+from rotap.grids import DUPLICATE_TOL
+
 from conftest import random_slice_grid
 
 TWO_PI = 2 * math.pi
@@ -193,21 +195,104 @@ class TestCanonicalize:
         )
 
 
+def _reference_duplicate(grid):
+    """The first duplicate pair of ``grid`` as validate names it, by a scan of every slice point, or None.
+
+    Slice point i is compared with every later slice point and with every
+    slice point turned by 2*pi/N (the origin and N = 1 excepted); the first i
+    with a copy within DUPLICATE_TOL is reported with its nearest such copy.
+    """
+    z = grid.slice_xy() @ np.array([1, 1j])
+    moved = np.flatnonzero((z != 0) & (grid.N > 1))
+    others = np.concatenate((z, z[moved] * np.exp(1j * TWO_PI / grid.N)))
+    index = np.concatenate((np.arange(len(z)), moved))
+    for i in range(len(z)):
+        d = np.abs(others[i + 1 :] - z[i])
+        if d.size and d.min() <= DUPLICATE_TOL:
+            return f"slice point {i} duplicates a full-grid copy of slice point {index[i + 1 + np.argmin(d)]}"
+    return None
+
+
+def _assert_duplicate(grid, i, j):
+    message = f"slice point {i} duplicates a full-grid copy of slice point {j}"
+    with pytest.raises(InvalidGrid) as exc:
+        grid.validate()
+    assert str(exc.value) == message
+
+
 class TestValidation:
     def test_duplicate_points_rejected(self):
         pts = (SlicePoint(1.0, 0.1), SlicePoint(1.0, 0.1))
-        with pytest.raises(InvalidGrid):
-            RotInvariantGrid(4, pts).validate()
+        _assert_duplicate(RotInvariantGrid(4, pts), 0, 1)
 
     @pytest.mark.parametrize(
-        "points",
-        [(SlicePoint(1.0, 0.0), SlicePoint(1.0, TWO_PI / 4 - 1e-14)), (SlicePoint(1e-14, 0.3),)],
+        "points, i, j",
+        [
+            ((SlicePoint(1.0, 0.0), SlicePoint(1.0, TWO_PI / 4 - 1e-14)), 1, 0),
+            ((SlicePoint(1e-14, 0.3),), 0, 0),
+        ],
         ids=["copies-1e-14-apart", "radius-1e-14"],
     )
-    def test_full_grid_duplicates_rejected(self, points):
+    def test_full_grid_duplicates_rejected(self, points, i, j):
         # Distinct in the slice, but two points of the full grid lie within 1.4e-14.
-        with pytest.raises(InvalidGrid, match="full-grid copy"):
-            RotInvariantGrid(4, points).validate()
+        _assert_duplicate(RotInvariantGrid(4, points), i, j)
+
+    def test_duplicates_at_n1(self):
+        # At N = 1 a point's turned copy is itself, so only equal slice points collide.
+        assert RotInvariantGrid(1, (SlicePoint(1.0, 0.1),)).validate()
+        pts = (SlicePoint(1.0, 0.1), SlicePoint(2.0, 3.0), SlicePoint(1.0, 0.1))
+        _assert_duplicate(RotInvariantGrid(1, pts), 0, 2)
+
+    def test_duplicates_beside_the_origin(self):
+        # The origin is its own copy under every turn; a point 1e-13 from it is a duplicate.
+        _assert_duplicate(RotInvariantGrid(4, (SlicePoint(0.0, 0.0), SlicePoint(1e-13, 0.2))), 0, 1)
+        pts = (SlicePoint(1.0, 0.1), SlicePoint(0.0, 0.0), SlicePoint(2.0, 0.3), SlicePoint(1.0, 0.1))
+        _assert_duplicate(RotInvariantGrid(4, pts), 0, 3)
+
+    @pytest.mark.parametrize("N", [16, 4], ids=["random-N16", "one-ray-N4"])
+    def test_duplicate_at_the_end_of_a_large_grid(self, N):
+        # At N = 4 the slice lies on the x axis and its quarter-turned copy on the y axis.
+        rng = np.random.default_rng(7)
+        angles = rng.uniform(0, TWO_PI / N, 1999) if N == 16 else np.zeros(1999)
+        pts = [SlicePoint(r, a) for r, a in zip(rng.uniform(0.5, 3, 1999), angles)]
+        pts.append(pts[1234])
+        _assert_duplicate(RotInvariantGrid(N, tuple(pts)), 1234, 1999)
+
+    def test_near_miss_passes(self):
+        pts = (SlicePoint(1.0, 0.1), SlicePoint(1.0 + 2e-12, 0.1))
+        assert RotInvariantGrid(4, pts).validate()
+
+    def test_random_duplicates_match_reference_scan(self):
+        # A copy of a random slice point, moved by up to 1e-12 in x and in y, is
+        # injected at a random place; half the time it sits across the slice
+        # edge from its original, as a turned copy of a point near angle 0.
+        # Some of the moved copies land beyond DUPLICATE_TOL and must pass.
+        rng = np.random.default_rng(2024)
+        raised = 0
+        for _ in range(200):
+            N = int(rng.integers(1, 13))
+            width = TWO_PI / N
+            pts = list(random_slice_grid(rng, N, int(rng.integers(1, 30))).points)
+            k = int(rng.integers(len(pts)))
+            shift = rng.uniform(-1, 1, 2) * 1e-12
+            if N > 1 and rng.random() < 0.5:
+                pts[k] = SlicePoint(pts[k].radius, float(rng.uniform(0, 1e-13)))
+                turned = pts[k].angle + width
+                x, y = pts[k].radius * math.cos(turned) + shift[0], pts[k].radius * math.sin(turned) + shift[1]
+            else:
+                x, y = np.add(pts[k].xy(), shift)
+            angle = math.atan2(y, x) % TWO_PI
+            pts.insert(int(rng.integers(len(pts) + 1)), SlicePoint(math.hypot(x, y), angle if angle < width else 0.0))
+            grid = RotInvariantGrid(N, tuple(pts))
+            expected = _reference_duplicate(grid)
+            if expected is None:
+                assert grid.validate() is grid
+            else:
+                raised += 1
+                with pytest.raises(InvalidGrid) as exc:
+                    grid.validate()
+                assert str(exc.value) == expected
+        assert 100 <= raised < 200
 
     def test_angle_out_of_slice(self):
         with pytest.raises(InvalidGrid):
