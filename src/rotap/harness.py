@@ -20,15 +20,7 @@ import numpy as np
 from .bessel import assemble_blocks
 from .errors import DomainError
 from .grids import build_polar_grid
-from .transform import (
-    ApCoefficients,
-    _bin_pairs,
-    _solve_bins,
-    evaluate_fast,
-    evaluate_naive,
-    interpolate,
-    prefactorize,
-)
+from .transform import ApCoefficients, evaluate_fast, evaluate_naive, interpolate, prefactorize
 
 
 @dataclass
@@ -72,12 +64,21 @@ class BenchReport:
             w.writerows(r.row() for r in self.records)
 
 
-def _median_times(fns: dict, repetitions: int) -> dict:
-    """Median wall time of each callable in ``fns``, under the same keys.
+# Untimed calls of each fast stage before it is timed.  At N=64, Q=128 on a
+# 2-core machine ``evaluate_fast`` took 1.36, 1.07, 0.82, 0.62, 0.58 ... 0.41 ms
+# over its first calls after a dense-oracle call, settling after about ten.
+_WARMUP_CALLS = 10
+
+
+def _median_times(fns: dict, repetitions: int, warmups: int) -> dict:
+    """Median wall time of each callable in ``fns``, under the same keys, after ``warmups`` untimed calls of each.
 
     Each repetition times every callable in turn, so that drift in machine
     speed, which on a shared host reaches 2x within seconds, reaches all alike.
     """
+    for fn in fns.values():
+        for _ in range(warmups):
+            fn()
     times = {key: [] for key in fns}
     for _ in range(repetitions):
         for key, fn in fns.items():
@@ -108,9 +109,9 @@ def bench_evaluate(N_list, Q_list, repetitions: int = 3, seed: int = 0) -> Bench
     that build the inputs and check correctness warm every timed stage.
     Each stage is timed back to back with itself, the dense oracle last, so
     that no 0.4-5 s oracle call flushes the caches between the repetitions
-    of a fast stage.  The fast stages still warm up over their first few
-    calls: on a 2-core machine at N=64, Q=128, ``t_fast`` reads about 1.0 ms
-    with three repetitions, and single calls settle near 0.5 ms after ten.
+    of a fast stage.  The fast stages warm up over their first few calls, so
+    each first runs ``_WARMUP_CALLS`` times untimed; the oracle, at one call
+    per repetition, does not.
     """
     if repetitions < 3:
         raise DomainError("repetitions must be >= 3")
@@ -134,7 +135,10 @@ def bench_evaluate(N_list, Q_list, repetitions: int = 3, seed: int = 0) -> Bench
                 "t_solve": functools.partial(interpolate, fast, fact),
                 "t_naive": functools.partial(evaluate_naive, coeffs, E),
             }
-            times = {key: _median_times({key: fn}, repetitions)[key] for key, fn in stages.items()}
+            times = {
+                key: _median_times({key: fn}, repetitions, 0 if key == "t_naive" else _WARMUP_CALLS)[key]
+                for key, fn in stages.items()
+            }
             record = BenchRecord(N, Q, Q, **times, conditions=fact.conditions, oracle_rel_error=rel)
             report.records.append(record)
     return report
@@ -144,25 +148,20 @@ def bench_solve_scaling(N: int, Q_list, repetitions: int = 200, seed: int = 0) -
     """Median per-bin time of the production interpolation product, for each Q.
 
     After prefactorization, times the product that ``interpolate`` makes
-    between its two DFTs, all N bins at once, and divides by N.  On the
-    bench grids, which are axis grids, that is one real stacked matmul of
-    the (N/2+1, Q, Q) operator half-stack with the bin pairs of
-    ``_bin_pairs``; gathering the pairs and applying the phases are
-    O(N*Q) layout steps, like the DFTs, and are not timed.
+    between its two DFTs, ``np.matmul(stack, columns)`` over all N bins at
+    once, and divides by N.  On the bench grids, which are axis grids, that
+    is one real stacked matmul of the (N/2+1, Q, Q) operator half-stack with
+    4 real columns per bin; laying out the columns and putting the products
+    back in bin order are O(N*Q) steps, like the DFTs, and are not timed.
     """
     rng = np.random.default_rng(seed)
     solves = {}
     for Q in Q_list:
         E, F = square_bench_grids(N, Q)
-        stack = prefactorize(assemble_blocks(E, F), "interpolation").stack
+        layout = prefactorize(assemble_blocks(E, F), "interpolation").layout
         rhs = rng.standard_normal((N, Q)) + 1j * rng.standard_normal((N, Q))
-        if np.iscomplexobj(stack):
-            solves[Q] = functools.partial(_solve_bins, stack, rhs, -1)
-        else:
-            solves[Q] = functools.partial(np.matmul, stack, _bin_pairs(rhs))
-    for solve in solves.values():
-        solve()  # warm-up, discarded
-    return {Q: t / N for Q, t in _median_times(solves, repetitions).items()}
+        solves[Q] = functools.partial(np.matmul, layout.stack, layout.columns(rhs))
+    return {Q: t / N for Q, t in _median_times(solves, repetitions, _WARMUP_CALLS).items()}
 
 
 def optimal_N(grid_size: int) -> int:

@@ -15,12 +15,12 @@ naive evaluation is kept as the correctness oracle.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .bessel import FourierBesselBlocks, _is_mirrored, _mirror_bins, _quarter_turns, _unfold
+from .bessel import FourierBesselBlocks, _Layout
 from .errors import DomainError, GridMismatch, ParseError, TrivialStabilizer, WellPosednessError
 from .grids import RotInvariantGrid, grid_from_dict, grid_to_dict, load_grid
 
@@ -94,52 +94,6 @@ def dft_rotation_axis(values: np.ndarray, direction: str = "forward") -> np.ndar
     raise ValueError(f"unknown direction {direction!r}")
 
 
-def _bin_pairs(x: np.ndarray) -> np.ndarray:
-    """The real (N/2+1, Q, 4) view of bins m and N-m of x, side by side: row m holds x[m] and x[N-m].
-
-    Built from slices: fancy-index gathers were no faster.  Row 0 has no
-    partner and its second column is 0; row N/2 holds x[N/2] twice.
-    """
-    N = len(x)
-    pairs = np.empty((N // 2 + 1, x.shape[1], 2), dtype=complex)
-    pairs[:, :, 0] = x[: N // 2 + 1]
-    pairs[0, :, 1] = 0
-    pairs[1:, :, 1] = x[N - 1 : N // 2 - 1 : -1]
-    return pairs.view(float)
-
-
-def _solve_bins(stack: np.ndarray, x: np.ndarray, sign: int) -> np.ndarray:
-    """The per-bin product of every DFT bin in one call: row n_hat is bin n_hat's matrix @ x[n_hat].
-
-    Evaluation passes the stored blocks with ``sign`` 1, both solves the
-    stored operators with ``sign`` -1.  A complex (N, ...) stack goes to one
-    stacked matmul.  A real (N/2+1, ...) half-stack S, whose bin n is
-    i^(sign*m) * S[m] with m = min(n, N-n), serves bins m and N-m with one
-    matrix: one real stacked matmul of S with :func:`_bin_pairs` (4 real
-    columns per bin), then the phases i^(sign*m) as the bins are put back
-    in order.
-
-    Median time per call at N=64 on a 2-core machine, Q = 32 / 64 / 128,
-    on the interpolation operators of the bench grids: this function on the
-    real half-stack 0.017 / 0.038 / 0.19 ms, its real matmul alone
-    0.0078 / 0.022 / 0.16 ms; on the complex (N, Q, P) operators one
-    stacked matmul 0.017 / 0.12 / 0.32 ms, a Python loop of N matvecs
-    0.071 / 0.19 / 0.40 ms and np.einsum, which runs its own loop without
-    BLAS, 0.063 / 0.25 / 0.97 ms.  At Q=128 a complex half-stack with a
-    2-column product (0.58 against 0.32 ms) and the complex stack through an
-    interleaved real view (0.52 against 0.30 ms) were slower.
-    """
-    if np.iscomplexobj(stack):
-        return np.matmul(stack, x[..., None])[..., 0]
-    N, h = len(x), len(stack)
-    products = np.matmul(stack, _bin_pairs(x)).view(complex)
-    phases = _quarter_turns(N, sign)[:, None]
-    out = np.empty((N, stack.shape[1]), dtype=complex)
-    np.multiply(products[:, :, 0], phases[:h], out=out[:h])
-    np.multiply(products[h - 2 : 0 : -1, :, 1], phases[h:], out=out[h:])
-    return out
-
-
 def evaluate_naive(coeffs: ApCoefficients, E: RotInvariantGrid) -> SampleArray:
     """Dense double-sum evaluation on the full grid; the oracle for the fast path."""
     F = coeffs.frequency_grid
@@ -168,7 +122,7 @@ def evaluate_fast(coeffs: ApCoefficients, blocks: FourierBesselBlocks) -> Sample
     if not coeffs.frequency_grid.same_geometry(blocks.frequency_grid):
         raise GridMismatch("coefficient grid does not match the blocks' frequency grid")
     chat = dft_rotation_axis(coeffs.values, "forward")
-    shat = _solve_bins(blocks.stack, chat, 1)
+    shat = blocks.layout.apply(chat)
     return SampleArray(dft_rotation_axis(shat, "inverse"), blocks.spatial_grid)
 
 
@@ -194,7 +148,9 @@ class BlockFactorization:
     when :func:`prefactorize` ran on a real half-stack, the real
     (N/2+1, Q, P) stack T with operators[n] = i^-m * T[m],
     m = min(n, N-n), the conjugate of the blocks' phase.  ``operators`` is
-    then built from it on each access.
+    then built from it on each access.  ``layout`` reads the form; a stack of
+    any other shape, or conditions for an N other than the grids', raises
+    :class:`GridMismatch`.
     """
 
     mode: str  # "interpolation" | "approximation"
@@ -202,10 +158,18 @@ class BlockFactorization:
     frequency_grid: RotInvariantGrid
     stack: np.ndarray
     conditions: tuple[float, ...]
+    layout: _Layout = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        N = len(self.conditions)
+        if not N == self.spatial_grid.N == self.frequency_grid.N:
+            raise GridMismatch(f"{N} conditions on grids with N={self.spatial_grid.N} and {self.frequency_grid.N}")
+        shape = (len(self.frequency_grid.points), len(self.spatial_grid.points))
+        object.__setattr__(self, "layout", _Layout(self.stack, N, shape, -1))
 
     @property
     def operators(self) -> np.ndarray:
-        return self.stack if np.iscomplexobj(self.stack) else _unfold(self.stack, len(self.conditions), -1)
+        return self.layout.full()
 
 
 def prefactorize(blocks: FourierBesselBlocks, mode: str, weights: Weights | None = None) -> BlockFactorization:
@@ -230,14 +194,8 @@ def prefactorize(blocks: FourierBesselBlocks, mode: str, weights: Weights | None
     with the same condition numbers.  The operators are stored as the real
     half-stack of those matrices.  In approximation mode this needs the
     weights to obey ``d[N - n] == d[n]`` bitwise; other weights factor the
-    complex ``blocks.blocks`` as below.  Complex blocks that obey
-    ``blocks[N - n] == (-1)**n * blocks[n].conj()`` bitwise for every n
-    (even N > 2, as :func:`~rotap.bessel.assemble_blocks` builds them) with,
-    in approximation mode, mirrored weights have bins 0 ... N/2 factored,
-    and the operators and conditions of bins N/2+1 ... N-1 written as their
-    exact mirrors.  Every other input, such as odd N, a hand-built complex
-    stack or weights that differ between mirrored bins, has every bin
-    factored.
+    complex ``blocks.blocks``.  The blocks' layout picks the bins to factor and
+    writes the rest as exact mirrors (:meth:`~rotap.bessel._Layout.factor`).
 
     Interpolation needs N*P distinct points, so a spatial grid that holds
     the origin (fixed by every rotation) raises
@@ -263,36 +221,26 @@ def prefactorize(blocks: FourierBesselBlocks, mode: str, weights: Weights | None
             raise GridMismatch(f"weights shape {d.shape} does not match (N, Q)=({N}, {Q})")
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    mirrored_weights = mode == "interpolation" or np.array_equal(d[1:], d[:0:-1])
-    stack = blocks.stack if mirrored_weights else blocks.blocks
-    if np.iscomplexobj(stack):
-        bins = N // 2 + 1 if mirrored_weights and _is_mirrored(stack) else N
-        operators = np.empty((N, Q, P), dtype=complex)
-    else:
-        bins = len(stack)
-        operators = np.empty((bins, Q, P))
-    conds = np.empty(bins)
-    for n_hat, b in enumerate(stack[:bins]):
+
+    def factor_bin(n_hat: int, b: np.ndarray, out: np.ndarray) -> float:
         try:
             if mode == "interpolation":
-                operators[n_hat] = np.linalg.inv(b)
+                out[:] = np.linalg.inv(b)
                 # The 1-norm of a matrix is its largest absolute column sum.
-                conds[n_hat] = np.abs(b).sum(axis=0).max() * np.abs(operators[n_hat]).sum(axis=0).max()
-            else:
-                adjoint = b.conj().T
-                normal = adjoint @ b + np.diag(d[n_hat] ** 2)
-                diag = np.abs(np.diag(np.linalg.cholesky(normal)))
-                conds[n_hat] = float(diag.max() / diag.min()) ** 2
-                operators[n_hat] = np.linalg.solve(normal, adjoint)
+                return np.abs(b).sum(axis=0).max() * np.abs(out).sum(axis=0).max()
+            adjoint = b.conj().T
+            normal = adjoint @ b + np.diag(d[n_hat] ** 2)
+            diag = np.abs(np.diag(np.linalg.cholesky(normal)))
+            out[:] = np.linalg.solve(normal, adjoint)
+            return float(diag.max() / diag.min()) ** 2
         except np.linalg.LinAlgError as exc:
             raise WellPosednessError(n_hat) from exc
+
+    symmetric = mode == "interpolation" or np.array_equal(d[1:], d[:0:-1])
+    operators, conds = blocks.layout.factor(factor_bin, (Q, P), symmetric)
     bad = np.flatnonzero(~np.isfinite(conds))
     if bad.size:
         raise WellPosednessError(int(bad[0]), float(conds[bad[0]]))
-    if bins < N:
-        if np.iscomplexobj(operators):
-            _mirror_bins(operators)
-        conds = np.concatenate((conds, conds[-2:0:-1]))
     return BlockFactorization(mode, blocks.spatial_grid, blocks.frequency_grid, operators, tuple(conds.tolist()))
 
 
@@ -302,7 +250,7 @@ def _solve(samples: SampleArray, fact: BlockFactorization, mode: str) -> ApCoeff
     if not samples.spatial_grid.same_geometry(fact.spatial_grid):
         raise GridMismatch("sample grid does not match the factorization's spatial grid")
     what = dft_rotation_axis(samples.values, "forward")
-    vhat = _solve_bins(fact.stack, what, -1)
+    vhat = fact.layout.apply(what)
     return ApCoefficients(dft_rotation_axis(vhat, "inverse"), fact.frequency_grid)
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from rotap import (
     DomainError,
+    GridMismatch,
     assemble_blocks,
     build_polar_grid,
     canonicalize,
@@ -294,6 +295,69 @@ class TestAssembleBlocks:
         F = build_polar_grid(1, [1.0], 8, kind="frequency")
         with pytest.raises(GridMismatch):
             assemble_blocks(E, F)
+
+    def test_overflowing_products_raise(self):
+        # Products xi*rho beyond the largest double made every entry NaN,
+        # with only RuntimeWarnings; the check itself must not warn.
+        E, F = square_grid_pair(4, [1e308, 1.5e308])
+        with pytest.raises(DomainError, match="not finite"):
+            assemble_blocks(E, F)
+        with pytest.raises(DomainError, match="not finite"):
+            generalized_bessel(1, (1.5e308, 0.0), (1e308, 0.3), 4)
+
+    @pytest.mark.parametrize("rays", [1, 2])
+    def test_large_finite_products_assemble(self, rays):
+        # Radii of 1e150 give products near 1e300, which stay finite; one ray
+        # is an axis pair, two rays take the complex path.
+        radii = [1e150, 1.5e150]
+        E = build_polar_grid(rays, radii, 4, kind="spatial")
+        F = build_polar_grid(rays, radii, 4, kind="frequency")
+        assert np.all(np.isfinite(assemble_blocks(E, F).stack))
+        assert np.isfinite(generalized_bessel(1, (1.5e150, 0.0), (1e150, 0.3), 4))
+
+
+class TestHandBuiltStacks:
+    """A stack built by hand is a complex (N, P, Q) stack or a real (N/2+1, P, Q) half-stack with N even."""
+
+    @pytest.mark.parametrize(
+        "N, shape, dtype",
+        [(4, (4, 3, 3), float), (4, (2, 3, 3), complex), (5, (3, 3, 3), float), (4, (4, 3, 2), complex)],
+        ids=["real-full", "short-complex", "real-odd-N", "wrong-Q"],
+    )
+    def test_wrong_form_raises_grid_mismatch(self, N, shape, dtype):
+        # Read by dtype alone, these would fail later inside numpy with a
+        # broadcasting ValueError.
+        E, F = square_grid_pair(N, [1.0, 2.0, 3.0])
+        with pytest.raises(GridMismatch, match="stack of shape"):
+            bessel.FourierBesselBlocks(N, np.ones(shape, dtype=dtype), E, F)
+
+    def test_N_other_than_the_grids_raises_grid_mismatch(self):
+        # A stack of the right form for N=4 on grids of N=8 would fail inside numpy.
+        E, F = square_grid_pair(8, [1.0, 2.0, 3.0])
+        with pytest.raises(GridMismatch, match="N=4"):
+            bessel.FourierBesselBlocks(4, np.ones((4, 3, 3), dtype=complex), E, F)
+
+    @pytest.mark.parametrize("N", [4, 5])
+    def test_both_forms_accepted(self, N):
+        E, F = square_grid_pair(N, [1.0, 2.0, 3.0])
+        full = assemble_blocks(E, F).blocks
+        assert np.array_equal(bessel.FourierBesselBlocks(N, full, E, F).blocks, full)
+        if N % 2 == 0:
+            half = bessel.FourierBesselBlocks(N, assemble_blocks(E, F).stack, E, F)
+            assert half.stack.dtype == float and np.array_equal(half.blocks, full)
+
+
+def test_dft_table_cache_is_bounded():
+    # An odd-N table holds about 8*N^2 bytes, so a process that assembles
+    # over many N must not keep every table.  An evicted N is rebuilt the same.
+    maxsize = bessel._dft_blocks.cache_info().maxsize
+    assert maxsize is not None and maxsize <= 16
+    E, F = square_bench_grids(7, 4)
+    first = assemble_blocks(E, F).stack.copy()
+    for N in range(8, 48):
+        assemble_blocks(*square_bench_grids(N, 4))
+        assert bessel._dft_blocks.cache_info().currsize <= maxsize
+    assert np.array_equal(assemble_blocks(E, F).stack, first)
 
 
 class TestClassicalBessel:

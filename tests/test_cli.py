@@ -515,6 +515,18 @@ class TestErrorContract:
         rc = main(["demo-image", str(ipath), "--grid", str(gpath), *geometry])
         assert assert_error(capsys, rc, 2, "usage error:") == ""
 
+    def test_overflowing_products_exit_2(self, tmp_path, capsys):
+        # Radii near the largest double make xi*rho overflow, which would give
+        # all-NaN samples; the command must refuse the grids instead.
+        gpath, out = tmp_path / "g.json", tmp_path / "s.bin"
+        assert main(["grid", "--polar", "--rays", "1", "--radii", "1e308,1.5e308", "--N", "4", "--out", str(gpath)]) == 0
+        capsys.readouterr()
+        save_coefficients(tmp_path / "c.bin", ApCoefficients(np.ones((4, 2)), freq_twin(load_grid(gpath))))
+        rc = main(["evaluate", str(tmp_path / "c.bin"), "--grid", str(gpath), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("usage error:") and "not finite" in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "text, code, prefix",
         [

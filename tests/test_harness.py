@@ -1,3 +1,4 @@
+import collections
 import csv
 
 import numpy as np
@@ -12,6 +13,7 @@ from rotap import (
     optimal_N,
 )
 from rotap.bessel import FourierBesselBlocks
+from rotap import harness
 from rotap.harness import _min_pairwise_distance, square_bench_grids
 
 from conftest import random_slice_grid
@@ -64,6 +66,27 @@ class TestBenchEvaluate:
         assert rows[0] == list(BenchReport.CSV_COLUMNS)
         assert len(rows) == 2
         assert rows[1][0] == "4"
+
+    def test_fast_stages_warm_up_untimed(self, monkeypatch):
+        # Every stage but the dense oracle runs the same number of untimed
+        # calls before its timed repetitions; the oracle runs once to check
+        # and once per repetition.
+        calls = collections.Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        stages = ("assemble_blocks", "evaluate_fast", "prefactorize", "interpolate", "evaluate_naive")
+        for name in stages:
+            monkeypatch.setattr(harness, name, counting(name, getattr(harness, name)))
+        bench_evaluate([4], [6], repetitions=3, seed=1)
+        warmups = calls["evaluate_fast"] - 1 - 3
+        assert warmups >= 3
+        assert calls == {name: 1 + 3 + (0 if name == "evaluate_naive" else warmups) for name in stages}
 
     def test_rejects_too_few_repetitions(self):
         with pytest.raises(ValueError):

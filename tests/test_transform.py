@@ -415,6 +415,25 @@ class TestRealHalfStack:
         hand = FourierBesselBlocks(8, blocks.blocks, E, F)
         assert relative_error(got, approximate(samples, prefactorize(hand, "approximation", w)).values) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "N, shape, dtype",
+        [(4, (4, 3, 3), float), (4, (2, 3, 3), complex), (5, (3, 3, 3), float), (4, (4, 2, 3), float)],
+        ids=["real-full", "short-complex", "real-odd-N", "wrong-P"],
+    )
+    def test_factorization_of_wrong_form_raises(self, N, shape, dtype):
+        from rotap import BlockFactorization
+
+        E, F = square_grid_pair(N, [1.0, 2.0, 3.0])
+        with pytest.raises(GridMismatch, match="stack of shape"):
+            BlockFactorization("interpolation", E, F, np.ones(shape, dtype=dtype), (1.0,) * N)
+
+    def test_factorization_for_another_N_raises(self):
+        from rotap import BlockFactorization
+
+        E, F = square_grid_pair(8, [1.0, 2.0, 3.0])
+        with pytest.raises(GridMismatch, match="4 conditions"):
+            BlockFactorization("interpolation", E, F, np.ones((4, 3, 3), dtype=complex), (1.0,) * 4)
+
     def test_unmirrored_weights_use_complex_path(self, rng):
         # d[N-n] != d[n] cannot share one real operator between bins n and
         # N-n: every bin of the complex blocks is factored, bitwise as for a
