@@ -3,8 +3,8 @@
 Subcommands: grid, evaluate, interpolate, approximate, demo-image, bench,
 verify-rep.  Exit codes: 0 ok, 1 a verify-rep check failed, 2 usage, 3 grid
 error, 4 well-posedness, 5 I/O error.  Each RotapError class carries its code
-and stderr label; main() maps them, OSError to 5 and a closed stdout to 0,
-in one place.
+and stderr label; main() maps them, OSError to 5, MemoryError to 2 and a
+closed stdout to 0, in one place.
 """
 
 from __future__ import annotations
@@ -321,6 +321,9 @@ def main(argv=None) -> int:
     except OSError as exc:  # a file that cannot be opened, read or written
         print(f"{ParseError.label}: {exc}", file=sys.stderr)
         return ParseError.exit_code
+    except MemoryError as exc:  # grids too large for this machine, such as N = 1000000
+        print(f"{DomainError.label}: the grids need more memory than is available: {exc}", file=sys.stderr)
+        return DomainError.exit_code
 
 
 if __name__ == "__main__":

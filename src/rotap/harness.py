@@ -170,19 +170,3 @@ def optimal_N(grid_size: int) -> int:
         raise DomainError("grid_size must be >= 10")
     return max(1, round(math.sqrt(grid_size / 10)))
 
-
-def _min_pairwise_distance(full_xy: np.ndarray) -> float:
-    """Smallest distance between two points of a rotation-invariant grid's (N, P, 2) point set.
-
-    Rotating a pair of points leaves its distance unchanged, so every pair
-    has a copy with one point in the slice (row 0): scanning the P x NP such
-    pairs costs P * NP * 16 bytes, not the (NP)^2 * 16 of all pairs.
-    """
-    P = full_xy.shape[1]
-    pts = full_xy.reshape(-1, 2)
-    if len(pts) < 2:
-        return float("inf")
-    d2 = np.sum((full_xy[0, :, None, :] - pts[None, :, :]) ** 2, axis=-1)
-    d2[np.arange(P), np.arange(P)] = np.inf  # each slice point against itself
-    return float(np.sqrt(d2.min()))
-

@@ -136,11 +136,11 @@ class BlockFactorization:
     matrix-vector product per bin, O(Q^2) for interpolation and O(QP) for
     approximation.
 
-    Interpolation mode stores J^-1 per bin, with the exact condition number
-    ||J||_1 ||J^-1||_1 in ``conditions``.  Approximation mode stores
-    (J* J + diag(d^2))^-1 J* per bin, with the squared extreme-diagonal ratio
-    of the normal matrix's Cholesky factor in ``conditions``.  Each bin is
-    factored on its own.  When :func:`prefactorize` mirrors (see there),
+    Interpolation mode stores J^-1 per bin and approximation mode
+    (J* J + diag(d^2))^-1 J*.  ``conditions`` holds the exact kappa_1 of the
+    matrix each mode inverts, ||M||_1 ||M^-1||_1 for M = J or
+    M = J* J + diag(d^2).  Each bin is factored on its own.  When
+    :func:`prefactorize` mirrors (see there),
     ``operators[N - n] == (-1)**n * operators[n].conj()`` and
     ``conditions[N - n] == conditions[n]`` hold bitwise for every n.
 
@@ -175,16 +175,15 @@ class BlockFactorization:
 def prefactorize(blocks: FourierBesselBlocks, mode: str, weights: Weights | None = None) -> BlockFactorization:
     """Factor every Fourier-Bessel block once, enabling O(Q^2) per-bin solves.
 
-    One loop factors every bin on its own, in both modes.  Interpolation
-    inverts each block with ``np.linalg.inv``; approximation forms each
-    normal matrix J* J + diag(d^2), takes its Cholesky factor with
-    ``np.linalg.cholesky`` and solves it against J* with ``np.linalg.solve``.
-    The same calls over the stack give bitwise the same operators and
-    conditions at no gain (bins 0 ... 32 at N=64 on a 2-core machine,
-    stacked against per bin, medians of 15, Q = 64 / 128: interpolation
-    8.9 / 39.7 against 9.4 / 40.5 ms, approximation 20.5 / 69.6 against
-    20.2 / 66.9 ms), and a stacked approximation raised the fit-n64-q64
-    benchmark's peak RSS from 78.7 to 88.7 MB.  Only numpy's LAPACK is used.
+    One routine factors every bin on its own, in both modes: it inverts the
+    matrix M the mode solves, the block J or the normal matrix
+    J* J + diag(d^2), with one ``np.linalg.inv``, stores M^-1 or M^-1 J*,
+    and reports kappa_1 = ||M||_1 ||M^-1||_1, the condition of the matrix
+    each mode inverts.  The same calls over the stack were no faster (bins
+    0 ... 32 at N=64 on a 2-core machine, stacked against per bin, Q = 64 /
+    128: interpolation 8.9 / 39.7 against 9.4 / 40.5 ms, medians of 15;
+    approximation 8.8-9.8 / 38.9-40.1 against 6.1-7.3 / 33.1-33.8 ms,
+    medians of 31 in three runs).  Only numpy's LAPACK is used.
 
     Half the spectrum.  Blocks stored as a real half-stack S (axis grid
     pairs, see :class:`~rotap.bessel.FourierBesselBlocks`) are factored in
@@ -201,7 +200,7 @@ def prefactorize(blocks: FourierBesselBlocks, mode: str, weights: Weights | None
     the origin (fixed by every rotation) raises
     :class:`~rotap.errors.TrivialStabilizer` for N > 1 before any factoring.
     Raises :class:`WellPosednessError` naming the first bin whose block (or
-    normal matrix) LAPACK cannot factor, or whose condition number is not
+    normal matrix) LAPACK cannot invert, or whose condition number is not
     finite.  A finite condition, however large, is for the caller to judge.
     """
     N, P, Q = blocks.N, blocks.P, blocks.Q
@@ -223,18 +222,18 @@ def prefactorize(blocks: FourierBesselBlocks, mode: str, weights: Weights | None
         raise ValueError(f"unknown mode {mode!r}")
 
     def factor_bin(n_hat: int, b: np.ndarray, out: np.ndarray) -> float:
-        try:
-            if mode == "interpolation":
-                out[:] = np.linalg.inv(b)
-                # The 1-norm of a matrix is its largest absolute column sum.
-                return np.abs(b).sum(axis=0).max() * np.abs(out).sum(axis=0).max()
+        if mode == "interpolation":
+            matrix = b
+        else:
             adjoint = b.conj().T
-            normal = adjoint @ b + np.diag(d[n_hat] ** 2)
-            diag = np.abs(np.diag(np.linalg.cholesky(normal)))
-            out[:] = np.linalg.solve(normal, adjoint)
-            return float(diag.max() / diag.min()) ** 2
+            matrix = adjoint @ b + np.diag(d[n_hat] ** 2)
+        try:
+            inverse = np.linalg.inv(matrix)
         except np.linalg.LinAlgError as exc:
             raise WellPosednessError(n_hat) from exc
+        out[:] = inverse if mode == "interpolation" else inverse @ adjoint
+        # The 1-norm of a matrix is its largest absolute column sum.
+        return np.abs(matrix).sum(axis=0).max() * np.abs(inverse).sum(axis=0).max()
 
     symmetric = mode == "interpolation" or np.array_equal(d[1:], d[:0:-1])
     operators, conds = blocks.layout.factor(factor_bin, (Q, P), symmetric)

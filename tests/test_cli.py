@@ -31,6 +31,12 @@ def freq_twin(grid):
     return RotInvariantGrid(grid.N, grid.points, "frequency").validate()
 
 
+# On the 2-ray N=4 grid, radii 1, 2, 3 keep every zero-weight normal matrix
+# J* J within the solve commands' gate (kappa_1 at most 4.9e3); the radii
+# 0.5, 1.1, 2.0 of TestEvaluateSolveRoundtrip reach 4.2e13 in bin 0.
+WELL_POSED_RADII = [1.0, 2.0, 3.0]
+
+
 class TestGridCommand:
     def test_polar_build_and_save(self, tmp_path, capsys):
         out = tmp_path / "g.json"
@@ -110,13 +116,15 @@ class TestEvaluateSolveRoundtrip:
         rec = load_coefficients(out)
         np.testing.assert_allclose(rec.values, coeffs.values, atol=1e-8)
 
-    def test_approximate_zero_weights(self, setup, tmp_path):
+    def test_approximate_zero_weights(self, tmp_path, rng):
         # CLI plumbing only: the command must reproduce the library solve
         # bit-for-bit (solver accuracy itself is covered in test_transform).
         from rotap import Weights, approximate, prefactorize
 
-        E, F, gpath, coeffs, cpath = setup
+        E = build_polar_grid(2, WELL_POSED_RADII, 4, kind="spatial")
+        F = freq_twin(E)
         blocks = assemble_blocks(E, F)
+        coeffs = ApCoefficients(rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6)), F)
         samples = evaluate_fast(coeffs, blocks)
         spath = tmp_path / "samples.bin"
         save_samples(spath, samples)
@@ -126,6 +134,17 @@ class TestEvaluateSolveRoundtrip:
         rec = load_coefficients(out)
         want = approximate(samples, prefactorize(blocks, "approximation", Weights.zero(4, 6)))
         np.testing.assert_allclose(rec.values, want.values, atol=1e-12)
+
+    def test_ill_conditioned_approximation_exit_4(self, setup, tmp_path, capsys):
+        # With zero weights the normal matrix of bin 0 has kappa_1 4.2e13,
+        # beyond the command's limit, though LAPACK inverts it.
+        E, F, gpath, coeffs, cpath = setup
+        spath, out = tmp_path / "samples.bin", tmp_path / "rec.bin"
+        save_samples(spath, evaluate_fast(coeffs, assemble_blocks(E, F)))
+        rc = main(["approximate", str(spath), "--out", str(out), "--weights", "zero"])
+        err = capsys.readouterr().err
+        assert rc == 4 and err.startswith("well-posedness error: block for DFT bin 0 ") and "Traceback" not in err
+        assert not out.exists()
 
     def test_missing_input_exit_5(self, tmp_path):
         assert main(["evaluate", str(tmp_path / "nope.bin"), "--grid", "g", "--out", "o"]) == 5
@@ -287,7 +306,7 @@ print("probe", main(["interpolate", spath, "--out", out]), scipy_modules())
 def test_approximate_does_not_import_scipy(tmp_path):
     # Importing the CLI and fitting by approximation or interpolation stay on
     # numpy and do not pay for loading scipy.
-    E = build_polar_grid(2, [0.5, 1.1, 2.0], 4, kind="spatial")
+    E = build_polar_grid(2, WELL_POSED_RADII, 4, kind="spatial")
     spath = tmp_path / "samples.bin"
     save_samples(spath, evaluate_fast(
         ApCoefficients(np.ones((4, 6), dtype=complex), freq_twin(E)), assemble_blocks(E, freq_twin(E))
@@ -525,6 +544,22 @@ class TestErrorContract:
         rc = main(["evaluate", str(tmp_path / "c.bin"), "--grid", str(gpath), "--out", str(out)])
         err = capsys.readouterr().err
         assert rc == 2 and err.startswith("usage error:") and "not finite" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_out_of_memory_exit_2(self, tmp_path, capsys, monkeypatch):
+        # Grids with N = 1000000 ask block assembly for hundreds of GiB; the
+        # stand-in raises as that allocation does, without allocating.
+        def too_large(*args):
+            raise MemoryError("Unable to allocate 466. GiB for an array")
+
+        monkeypatch.setattr("rotap.cli.assemble_blocks", too_large)
+        gpath, out = tmp_path / "g.json", tmp_path / "s.bin"
+        assert main(["grid", "--polar", "--rays", "1", "--radii", "1,2", "--N", "4", "--out", str(gpath)]) == 0
+        capsys.readouterr()
+        save_coefficients(tmp_path / "c.bin", ApCoefficients(np.ones((4, 2)), freq_twin(load_grid(gpath))))
+        rc = main(["evaluate", str(tmp_path / "c.bin"), "--grid", str(gpath), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("usage error:") and "466. GiB" in err and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize(

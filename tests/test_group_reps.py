@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotap import (
+    DomainError,
     GroupElement,
     InsufficientSample,
     SlicePoint,
@@ -202,3 +203,9 @@ class TestMatrixCoefficient:
         lam = (xi * math.cos(omega), xi * math.sin(omega))
         y = SlicePoint(rho, alpha)
         assert matrix_coefficient_check(lam, y, 6) < 1e-9
+
+    @pytest.mark.parametrize("lam, radius", [((1e300, 0.0), 1e10), ((math.nan, 1.0), 1.0)], ids=["overflow", "nan"])
+    def test_non_finite_product_raises(self, lam, radius):
+        # An all-NaN kernel once read as error 0.0, since max(0.0, nan) is 0.0.
+        with pytest.raises(DomainError, match="not finite"):
+            matrix_coefficient_check(lam, SlicePoint(radius, 0.0), 4)

@@ -1,7 +1,6 @@
 import collections
 import csv
 
-import numpy as np
 import pytest
 
 from rotap import (
@@ -9,14 +8,11 @@ from rotap import (
     assemble_blocks,
     bench_evaluate,
     bench_solve_scaling,
-    build_polar_grid,
     optimal_N,
 )
 from rotap.bessel import FourierBesselBlocks
 from rotap import harness
-from rotap.harness import _min_pairwise_distance, square_bench_grids
-
-from conftest import random_slice_grid
+from rotap.harness import square_bench_grids
 
 
 class TestOptimalN:
@@ -32,23 +28,6 @@ class TestOptimalN:
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
             optimal_N(9)
-
-
-@pytest.mark.parametrize("N, count, kind", [(1, 5, "spatial"), (3, 4, "spatial"), (6, 3, "frequency"), (8, 1, "frequency")])
-def test_min_pairwise_distance_matches_all_pairs(rng, N, count, kind):
-    for _ in range(5):
-        full = random_slice_grid(rng, N, count, kind).full_xy()
-        pts = full.reshape(-1, 2)
-        d = np.hypot(pts[:, None, 0] - pts[None, :, 0], pts[:, None, 1] - pts[None, :, 1])
-        np.fill_diagonal(d, np.inf)
-        assert _min_pairwise_distance(full) == pytest.approx(d.min(), rel=1e-12)
-
-
-def test_min_pairwise_distance_cross_orbit_pair():
-    # The closest pair joins two orbits 1e-6 apart; a single point has no pair.
-    E = build_polar_grid(1, [1.0, 1.0 + 1e-6], 8, kind="spatial")
-    assert _min_pairwise_distance(E.full_xy()) == pytest.approx(1e-6, rel=1e-3)
-    assert _min_pairwise_distance(build_polar_grid(1, [1.0], 1, kind="spatial").full_xy()) == float("inf")
 
 
 class TestBenchEvaluate:

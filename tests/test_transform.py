@@ -58,16 +58,17 @@ def brute_force_eval(coeffs, E):
 
 
 def cholesky_reference(blocks, w):
-    """Per-bin approximation operators and squared Cholesky-diagonal ratios, every bin factored."""
+    """Per-bin approximation operators from scipy's Cholesky solve and the exact kappa_1 of each normal matrix, every bin factored."""
     import scipy.linalg
 
     operators, conditions = [], []
     for n_hat, b in enumerate(blocks.blocks):
         adjoint = b.conj().T
-        c, low = scipy.linalg.cho_factor(adjoint @ b + np.diag(w.values[n_hat] ** 2))
-        diag = np.abs(np.diag(c))
-        conditions.append((diag.max() / diag.min()) ** 2)
-        operators.append(scipy.linalg.cho_solve((c, low), adjoint))
+        normal = adjoint @ b + np.diag(w.values[n_hat] ** 2)
+        factor = scipy.linalg.cho_factor(normal)
+        inverse = scipy.linalg.cho_solve(factor, np.eye(len(normal)))
+        conditions.append(np.linalg.norm(normal, 1) * np.linalg.norm(inverse, 1))
+        operators.append(scipy.linalg.cho_solve(factor, adjoint))
     return operators, conditions
 
 
@@ -223,10 +224,10 @@ class TestPrefactorize:
         assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
 
     def test_duplicated_point_approximation_is_singular(self):
-        # A duplicated point makes J* J singular only up to rounding: the
-        # Cholesky factorization fails at bin 0 for some points and not for
-        # others.  A zero column in bin 0 makes the first pivot of J* J an
-        # exact zero, so the factorization itself fails under any rounding.
+        # A duplicated point makes J* J singular only up to rounding: its
+        # inversion fails at bin 0 for some points and not for others.  A
+        # zero column in bin 0 makes the first row and column of J* J exactly
+        # zero, so the factorization itself fails under any rounding.
         pts = (SlicePoint(1.0, 0.1), SlicePoint(1.0, 0.1))
         E = RotInvariantGrid(4, pts, "spatial")
         F = build_polar_grid(1, [0.5, 1.5], 4, kind="frequency")
@@ -325,6 +326,21 @@ class TestPrefactorize:
         else:
             ratio = kappa_1 / kappa_2
             assert np.all((1 / blocks.Q <= ratio) & (ratio <= blocks.Q))
+
+    @pytest.mark.parametrize("weighted", [True, False], ids=["banded", "zero"])
+    @pytest.mark.parametrize("Q", [64, 128])
+    def test_approximation_conditions_track_cond(self, Q, weighted):
+        # The conditions are those of the normal matrices J* J + diag(d^2),
+        # the matrices approximation inverts; zero weights leave them at
+        # kappa_2 up to about 5e7 on these grids.
+        E, F = square_bench_grids(64, Q)
+        blocks = assemble_blocks(E, F)
+        w = banded_weights(F, 100.0) if weighted else Weights.zero(64, Q)
+        kappa_1 = np.asarray(prefactorize(blocks, "approximation", w).conditions)
+        adjoint = blocks.blocks.conj().transpose(0, 2, 1)
+        normal = adjoint @ blocks.blocks + np.eye(Q) * w.values[:, None, :] ** 2
+        ratio = kappa_1 / np.linalg.cond(normal)
+        assert np.all((1 / Q <= ratio) & (ratio <= Q))
 
     def test_polar_grid_conditions_finite(self):
         E, F = square_grid_pair(8, [1.0, 2.0])
