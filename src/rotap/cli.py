@@ -27,7 +27,7 @@ from .group_reps import (
     commutant_dimension,
 )
 from .harness import bench_evaluate, bench_solve_scaling, optimal_N
-from .image import bilinear_sample, load_image
+from .image import bilinear_sample, load_csv_matrix, load_image
 from .transform import (
     SampleArray,
     Weights,
@@ -87,11 +87,7 @@ def _load_weights(args, F: RotInvariantGrid, scheme: str | None = None) -> Weigh
         raise DomainError("--alpha applies only to --weights-scheme paper")
     if args.weights is None or args.weights == "zero":
         return Weights.zero(F.N, len(F.points))
-    try:
-        arr = np.loadtxt(args.weights, delimiter=",", ndmin=2)
-    except ValueError as exc:
-        raise ParseError(f"{args.weights}: {exc}") from exc
-    return Weights(arr)
+    return Weights(load_csv_matrix(args.weights))
 
 
 def _print_oracle_deviation(coeffs, fast: SampleArray) -> None:
@@ -216,6 +212,8 @@ def cmd_verify_rep(args) -> int:
     N = args.N
     if N < 1:
         raise DomainError(f"--N must be >= 1, got {N}")
+    if args.seeds < 1:
+        raise DomainError(f"--seeds must be >= 1, got {args.seeds}")
     rng = np.random.default_rng(args.seed)
     worst_hom = 0.0
     worst_uni = 0.0

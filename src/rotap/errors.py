@@ -56,7 +56,7 @@ class WellPosednessError(RotapError):
         self.condition = condition
         msg = f"block for DFT bin {bin_index} is numerically singular"
         if condition is not None:
-            msg += f" (condition estimate {condition:.3e})"
+            msg += f" (1-norm condition number {condition:.3e})"
         super().__init__(msg)
 
 

@@ -93,9 +93,6 @@ class RotInvariantGrid:
                 raise InvalidGrid(f"slice point {i} duplicates a full-grid copy of slice point {j}")
         return self
 
-    def __len__(self) -> int:
-        return len(self.points)
-
     def slice_xy(self) -> np.ndarray:
         """Slice points as an (P, 2) Cartesian array."""
         r, a = self.slice_polar()

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import _kernel_bins
-from .errors import DomainError, InsufficientSample, TrivialStabilizer
+from .bessel import generalized_bessel
+from .errors import InsufficientSample, TrivialStabilizer
 from .grids import TWO_PI, SlicePoint
 
 
@@ -142,17 +142,14 @@ def matrix_coefficient_check(lam, y: SlicePoint, N: int) -> float:
     to character n_hat against character m_hat under the counting-measure
     inner product.  The closed form is
     e^{-2*pi*i*n_hat*k/N} e^{2*pi*i*(n_hat-m_hat)*h/N} J_{(n_hat-m_hat) mod N}(lam, y),
-    with all N kernel bins J from one kernel call.  Raises
+    with the N kernel bins J from :func:`generalized_bessel`, which raises
     :class:`DomainError` if |lam| * y.radius is not finite.
     """
-    product = math.hypot(lam[0], lam[1]) * y.radius
-    if not math.isfinite(product):
-        raise DomainError(f"the product |lambda|*rho = {product} is not finite")
+    lam_polar = (math.hypot(lam[0], lam[1]), math.atan2(lam[1], lam[0]))
+    J = np.array([generalized_bessel(n_hat, lam_polar, y, N) for n_hat in range(N)])
     lam = np.asarray(lam, dtype=float)
     ell = np.arange(N)
     C = np.exp(2j * np.pi * np.outer(ell, ell) / N)
-    omega = math.atan2(lam[1], lam[0])
-    J = _kernel_bins(np.float64(product), np.float64(y.angle - omega), N)
     diff = ell[None, :] - ell[:, None]  # n_hat - m_hat; rows are m_hat
     worst = 0.0
     for h in range(N):

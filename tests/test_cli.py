@@ -187,8 +187,9 @@ class TestEvaluateSolveRoundtrip:
             ("1,2,3\n", 3, "grid error:"),
             ("1,-2\n" + "1,2\n" * 3, 2, "usage error:"),
             ("a,b\n", 5, "I/O error:"),
+            ("", 5, "I/O error:"),
         ],
-        ids=["shape-mismatch", "negative", "unparseable"],
+        ids=["shape-mismatch", "negative", "unparseable", "empty"],
     )
     def test_bad_weights_exit_code(self, tmp_path, capsys, weights, code, prefix):
         E = build_polar_grid(1, [0.5, 1.5], 4, kind="spatial")
@@ -390,6 +391,14 @@ class TestVerifyRepCommand:
         assert rc == 2
         assert err.startswith("usage error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("seeds", ["0", "-3"])
+    def test_no_seeds_exit_2(self, capsys, seeds):
+        # With no seed no homomorphism or unitarity check runs, so there is no result to report.
+        rc = main(["verify-rep", "--N", "4", "--seeds", seeds])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err.startswith("usage error: --seeds must be >= 1") and "Traceback" not in err
+
 
 @pytest.fixture
 def smoke_image(tmp_path):
@@ -430,7 +439,7 @@ class TestDemoImageCommand:
         # well conditioned and the stdout table keeps its three 5-column rows.
         (warning,) = captured.err.splitlines()
         assert warning.startswith("warning: interpolation may be inaccurate: block for DFT bin ")
-        assert "condition estimate" in warning
+        assert "1-norm condition number" in warning
         rows = [line.split("\t") for line in captured.out.splitlines()]
         assert [row[0] for row in rows] == ["mode", "interpolation", "approximation"]
         assert all(len(row) == 5 for row in rows)
@@ -580,13 +589,56 @@ class TestErrorContract:
         src.write_text(text)
         assert_error(capsys, main(["grid", "--from-points", str(src)]), code, prefix)
 
-    @pytest.mark.filterwarnings("ignore:loadtxt")
     @pytest.mark.parametrize("pixels", ["", "0.1,nan\n0.2,0.3\n"], ids=["empty", "nan"])
     def test_bad_csv_image_exit_5(self, tmp_path, capsys, smoke_image, pixels):
         _, gpath = smoke_image
         ipath = tmp_path / "bad.csv"
         ipath.write_text(pixels)
         assert_error(capsys, main(["demo-image", str(ipath), "--grid", str(gpath)]), 5, "I/O error:")
+
+    @pytest.mark.parametrize(
+        "pgm",
+        [
+            b"P5\n2 2\n100\n\x00\x10\xff\x20",
+            b"P5\n2 1\n1000\n\x03\xe8\x03\xe9",
+            b"P2\n2 2\n10\n1 2 11 3\n",
+            b"P2\n2 2\n10\n20 -3 1 2\n",
+            b"P2\n1 1\n0\n0\n",
+            b"P5\n1 1\n65536\n\x00\x01",
+        ],
+        ids=["p5-8bit-above-maxval", "p5-16bit-above-maxval", "p2-above-maxval", "p2-negative", "maxval-0",
+             "maxval-65536"],
+    )
+    def test_pgm_format_violation_exit_5(self, tmp_path, capsys, smoke_image, pgm):
+        _, gpath = smoke_image
+        ipath = tmp_path / "bad.pgm"
+        ipath.write_bytes(pgm)
+        rc = main(["demo-image", str(ipath), "--grid", str(gpath)])
+        err = capsys.readouterr().err
+        assert rc == 5 and err.startswith("I/O error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["demo-image", "approximate"])
+    def test_empty_csv_exit_5_with_one_stderr_line(self, tmp_path, smoke_image, command):
+        # In a plain process, where no test setting turns warnings into errors,
+        # loadtxt's no-data warning must not reach stderr beside the error line.
+        _, gpath = smoke_image
+        empty = tmp_path / "e.csv"
+        empty.write_text("")
+        if command == "demo-image":
+            argv = ["demo-image", str(empty), "--grid", str(gpath)]
+        else:
+            spath = tmp_path / "s.bin"
+            save_samples(spath, SampleArray(np.ones((4, 2), dtype=complex), build_polar_grid(1, [0.5, 1.5], 4)))
+            argv = ["approximate", str(spath), "--weights", str(empty), "--out", str(tmp_path / "o.bin")]
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "rotap.cli", *argv],
+            capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 5
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith("I/O error:")
 
     @pytest.mark.parametrize(
         "argv, message",

@@ -29,6 +29,7 @@ from rotap import (
 )
 from rotap.cli import main
 from rotap.grids import RotInvariantGrid
+from rotap.image import load_image
 
 DOCUMENTED_CODES = {0, 2, 3, 4, 5}
 
@@ -187,3 +188,22 @@ def test_fuzz_weights_csv(workdir, valid, data):
 def test_fuzz_image(workdir, valid, data, name):
     bad = data.draw(mutated(valid[name]))
     check(workdir, name, bad, ["demo-image", name, "--grid", str(workdir / "grid.json")])
+
+
+# A read alone is cheap (about 3 ms), and the header is a small share of each
+# file, so the property below draws many more mutants than the CLI runs above.
+@settings(FUZZ, max_examples=1000)
+@given(data=st.data(), name=st.sampled_from(["image.pgm", "ascii.pgm"]))
+def test_accepted_pgm_mutants_keep_shape_and_range(workdir, valid, data, name):
+    # The same mutants as test_fuzz_image, read in-process: a file the reader
+    # accepts holds the image its header describes, with every pixel in [0, 1].
+    bad = data.draw(mutated(valid[name]))
+    path = workdir / ("read-" + name)
+    path.write_bytes(bad)
+    try:
+        pixels = load_image(path).pixels
+    except errors.ParseError:
+        return
+    width, height = (int(token) for token in bad.split()[1:3])  # the mutation tokens hold no '#'
+    assert pixels.shape == (height, width)
+    assert np.all((pixels >= 0) & (pixels <= 1))

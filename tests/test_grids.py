@@ -161,11 +161,11 @@ class TestCanonicalize:
         g = random_slice_grid(rng, N, count, kind)
         if with_origin and kind == "spatial":
             g = RotInvariantGrid(N, g.points + (SlicePoint(0.0, 0.0),), kind).validate()
-        keep = np.ones((N, len(g)), dtype=bool)
+        keep = np.ones((N, len(g.points)), dtype=bool)
         keep[1:, [p.radius == 0 for p in g.points]] = False  # the origin once, not N times
         order = rng.permutation(int(keep.sum()))
         pts = g.full_xy()[keep][order]
-        labels = np.broadcast_to(np.arange(len(g)), keep.shape)[keep][order]
+        labels = np.broadcast_to(np.arange(len(g.points)), keep.shape)[keep][order]
 
         got = canonicalize(pts, N, kind)
         expected = [g.points[k] for k in dict.fromkeys(labels.tolist())]
