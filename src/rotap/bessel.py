@@ -17,6 +17,7 @@ vectorized tan by the half-angle identity (:func:`_sincos`), since numpy
 computes float64 tan with SIMD but cos and sin one element at a time.  On an
 axis grid pair (N even, every slice angle 0) block n is i^m times a real
 matrix, m = min(n, N-n), and only those N/2+1 real matrices are stored.
+Assembly decides this form and the mirroring of bins once; the layout keeps it.
 
 The classical Bessel function J_n is provided as an independent quadrature
 oracle: as N grows, the kernel scaled by 1/N converges to
@@ -176,7 +177,7 @@ def _kernel_bins(products: np.ndarray, deltas: np.ndarray | None, N: int, out: n
     a shape S and the result has shape (N,) + S, bin n_hat at index n_hat.
     Both the scalar kernel and the block assembly go through this routine.
     ``deltas=None`` stands for every angle difference 0 on even N (an axis
-    grid pair, see :func:`is_axis_pair`); the result is then the real
+    grid pair, see :func:`assemble_blocks`); the result is then the real
     (N/2+1,) + S half-stack S with J_n = i^m * S_m, m = min(n, N-n).
 
     The phase xi*rho*cos(delta + 2*pi*r/N) comes by angle addition from
@@ -288,18 +289,6 @@ def generalized_bessel(n_hat: int, lam, y, N: int) -> complex:
     return complex(_kernel_bins(np.float64(xi * rho), np.float64(alpha - omega), N)[n_hat])
 
 
-def is_axis_pair(E: RotInvariantGrid, F: RotInvariantGrid) -> bool:
-    """Whether (E, F) is an axis grid pair: N even and every slice angle of E and F exactly 0.
-
-    On such a pair every angle difference is 0 and the grids are closed
-    under the reflection y -> -y, so the kernel sum is even in r and
-    J_{N-n} = J_n.  With J_{N-n} = (-1)^n conj(J_n) this makes
-    S_n = i^-n * J_n real, the discrete form of the fact that the Bessel
-    function J_n is real (DLMF 10.12).
-    """
-    return E.N % 2 == 0 and all(p.angle == 0 for p in E.points + F.points)
-
-
 class _Layout:
     """How a stack stores its N DFT bins; the one place that reads it.
 
@@ -307,11 +296,14 @@ class _Layout:
     half-stack S, N even, holds bin n as i^(sign*m) * S[m], m = min(n, N-n),
     with ``sign`` 1 for blocks and -1 for the operators that invert them.
     Both forms share one stacked product, ``np.matmul(stack, columns(x))``.
+    ``mirrored``: bin N-n is (-1)^n conj(bin n).  A half-stack is so by its
+    form, a complex stack when its builder says so (:func:`assemble_blocks`).
     """
 
-    def __init__(self, stack: np.ndarray, N: int, shape: tuple[int, int], sign: int = 1):
+    def __init__(self, stack: np.ndarray, N: int, shape: tuple[int, int], sign: int = 1, mirrored: bool = False):
         self.stack, self.N = stack, N
         self.half = not np.iscomplexobj(stack)
+        self.mirrored = self.half or mirrored
         if stack.shape != (N // 2 + 1 if self.half else N, *shape) or self.half and N % 2:
             real = "" if N % 2 else f" or real {(N // 2 + 1, *shape)}"
             raise GridMismatch(f"{stack.dtype} stack of shape {stack.shape} is not complex {(N, *shape)}{real}")
@@ -368,23 +360,21 @@ class _Layout:
         """
         return self._in_order(self.stack[..., None]) if self.half else self.stack
 
-    def factor(self, factor_bin, shape: tuple[int, int], symmetric: bool) -> tuple[np.ndarray, np.ndarray]:
+    def factor(self, factor_bin, shape: tuple[int, int], d: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """A stack of this form with one ``shape`` matrix per bin, and one value per bin.
 
         ``factor_bin(n, matrix, out)`` writes bin n's matrix to ``out`` and
-        returns its value; it runs in bin order on the bins that need it.  If
-        the data factored beside the bins obey d[N-n] == d[n] bitwise
-        (``symmetric``), a half-stack has its N/2+1 bins factored, and so has a
-        complex stack that obeys stack[N-n] == (-1)^n conj(stack[n]) bitwise
-        (even N > 2, as :func:`assemble_blocks` builds it; checked bin by bin);
-        the other values and complex matrices are exact mirrors.  Every other
-        input, such as odd N or an unmirrored complex stack, has all N factored.
+        returns its value; it runs in bin order on the bins that need it.  A
+        mirrored layout whose per-bin data ``d`` (if any) obey d[N-n] == d[n]
+        bitwise has bins 0 ... N/2 factored, in the stack's own form, and the
+        other values and complex matrices written as exact mirrors.  Every
+        other input, such as odd N, a hand-built complex stack or a half-stack
+        with unmirrored ``d``, has all N bins of the complex stack factored.
         """
-        N, half = self.N, self.half and symmetric
+        N = self.N
+        mirrored = self.mirrored and (d is None or np.array_equal(d[1:], d[:0:-1]))
+        half = self.half and mirrored
         stack = self.stack if half else self.full()
-        mirrored = half or symmetric and _has_mirror(N) and all(
-            np.array_equal(stack[-n], (-1) ** n * stack[n].conj()) for n in range(N // 2 + 1)
-        )
         bins = N // 2 + 1 if mirrored else N
         out = np.empty((len(stack), *shape), dtype=float if half else complex)
         values = np.array([factor_bin(n, b, out[n]) for n, b in enumerate(stack[:bins])])
@@ -405,15 +395,16 @@ class FourierBesselBlocks:
     blocks[n].conj()`` holds bitwise for every n.
 
     ``stack`` is the one array stored.  :func:`assemble_blocks` stores, on an
-    axis grid pair (:func:`is_axis_pair`), the real (N/2+1, P, Q) half-stack
-    S with J_n = i^m * S[m], m = min(n, N-n), a quarter of the complex
-    stack's bytes; ``blocks`` is then built from it on each access.  On every
-    other pair it stores the complex (N, P, Q) stack, computing bins
-    0 ... N/2 for even N > 2 and mirroring the rest, and ``blocks`` is that
-    array.  A stack built by hand is read by its dtype: complex is the full
-    stack, float the half-stack; any other shape, or an N other than the
-    grids', raises :class:`~rotap.errors.GridMismatch`.  ``layout`` reads the
-    form.
+    axis grid pair (N even and every slice angle of E and F 0), the real
+    (N/2+1, P, Q) half-stack S with J_n = i^m * S[m], m = min(n, N-n), a
+    quarter of the complex stack's bytes; ``blocks`` is then built from it
+    on each access.  On every other pair it stores the complex (N, P, Q)
+    stack, computing bins 0 ... N/2 for even N > 2 and mirroring the rest,
+    and ``blocks`` is that array.  ``layout`` reads the form and records
+    whether the bins are mirrored, which assembly decides once.  A stack
+    built by hand is read by its dtype: complex is the full stack, with
+    every bin factored, float the half-stack; any other shape, or an N other
+    than the grids', raises :class:`~rotap.errors.GridMismatch`.
     """
 
     N: int
@@ -421,12 +412,13 @@ class FourierBesselBlocks:
     spatial_grid: RotInvariantGrid
     frequency_grid: RotInvariantGrid
     layout: _Layout = field(init=False, repr=False, compare=False)
+    _mirrored: bool = field(default=False, kw_only=True, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.N == self.spatial_grid.N == self.frequency_grid.N:
             raise GridMismatch(f"blocks for N={self.N} on grids with N={self.spatial_grid.N} and {self.frequency_grid.N}")
         shape = (len(self.spatial_grid.points), len(self.frequency_grid.points))
-        object.__setattr__(self, "layout", _Layout(self.stack, self.N, shape))
+        object.__setattr__(self, "layout", _Layout(self.stack, self.N, shape, mirrored=self._mirrored))
 
     @property
     def blocks(self) -> np.ndarray:
@@ -445,7 +437,9 @@ def assemble_blocks(E: RotInvariantGrid, F: RotInvariantGrid) -> FourierBesselBl
     """Assemble the N blocks of the discrete Fourier-Bessel operator on (E, F).
 
     Axis grid pairs get the real half-stack, every other pair the complex
-    stack (see :class:`FourierBesselBlocks`).  Raises
+    stack, marked mirrored for even N > 2 (see :class:`FourierBesselBlocks`).
+    An axis pair is closed under y -> -y, so J_{N-n} = J_n, which with
+    J_{N-n} = (-1)^n conj(J_n) makes S_n = i^-n * J_n real (DLMF 10.12).  Raises
     :class:`~rotap.errors.DomainError` when the largest product xi*rho of the
     radii is not finite: every kernel entry would be NaN.
     """
@@ -459,14 +453,14 @@ def assemble_blocks(E: RotInvariantGrid, F: RotInvariantGrid) -> FourierBesselBl
     largest = float(rho.max(initial=0)) * float(xi.max(initial=0))
     if not math.isfinite(largest):
         raise DomainError(f"the largest product xi*rho = {largest} of the grids' radii is not finite")
-    axis = is_axis_pair(E, F)
+    axis = N % 2 == 0 and not (alpha.any() or omega.any())
     stack = np.empty((N // 2 + 1, P, Q)) if axis else np.empty((N, P, Q), dtype=complex)
     rows = max(1, _CHUNK_ENTRIES // max(1, N * Q))
     for j in range(0, P, rows):
         products = rho[j : j + rows, None] * xi[None, :]
         deltas = None if axis else alpha[j : j + rows, None] - omega[None, :]
         _kernel_bins(products, deltas, N, out=stack[:, j : j + rows])
-    return FourierBesselBlocks(N, stack, E, F)
+    return FourierBesselBlocks(N, stack, E, F, _mirrored=_has_mirror(N))
 
 
 def classical_bessel(n: int, x: float) -> float:

@@ -56,10 +56,12 @@ class RotInvariantGrid:
         object.__setattr__(self, "points", tuple(self.points))
 
     def validate(self) -> "RotInvariantGrid":
-        if not isinstance(self.N, int) or self.N < 1:
+        if type(self.N) is not int or self.N < 1:
             raise InvalidGrid(f"N must be a positive integer, got {self.N!r}")
         if self.kind not in ("spatial", "frequency"):
             raise InvalidGrid(f"unknown grid kind {self.kind!r}")
+        if not self.points:
+            raise InvalidGrid("a grid needs at least one slice point")
         width = TWO_PI / self.N
         origin_count = 0
         for p in self.points:

@@ -191,10 +191,12 @@ def prefactorize(blocks: FourierBesselBlocks, mode: str, weights: Weights | None
     J_n^-1 = i^-m S_m^-1 and, since J_n* J_n = S_m^T S_m,
     (J_n* J_n + diag(d^2))^-1 J_n* = i^-m (S_m^T S_m + diag(d^2))^-1 S_m^T,
     with the same condition numbers.  The operators are stored as the real
-    half-stack of those matrices.  In approximation mode this needs the
-    weights to obey ``d[N - n] == d[n]`` bitwise; other weights factor the
-    complex ``blocks.blocks``.  The blocks' layout picks the bins to factor and
-    writes the rest as exact mirrors (:meth:`~rotap.bessel._Layout.factor`).
+    half-stack of those matrices.  Assembled complex blocks of even N > 2
+    have bins 0 ... N/2 factored too.  In approximation mode both need
+    weights with ``d[N - n] == d[n]`` bitwise; other weights, odd N and
+    hand-built complex stacks factor every bin of ``blocks.blocks``.  The
+    blocks' layout decides (:meth:`~rotap.bessel._Layout.factor`) and writes
+    the other bins as exact mirrors.
 
     Interpolation needs N*P distinct points, so a spatial grid that holds
     the origin (fixed by every rotation) raises
@@ -235,8 +237,7 @@ def prefactorize(blocks: FourierBesselBlocks, mode: str, weights: Weights | None
         # The 1-norm of a matrix is its largest absolute column sum.
         return np.abs(matrix).sum(axis=0).max() * np.abs(inverse).sum(axis=0).max()
 
-    symmetric = mode == "interpolation" or np.array_equal(d[1:], d[:0:-1])
-    operators, conds = blocks.layout.factor(factor_bin, (Q, P), symmetric)
+    operators, conds = blocks.layout.factor(factor_bin, (Q, P), None if mode == "interpolation" else d)
     bad = np.flatnonzero(~np.isfinite(conds))
     if bad.size:
         raise WellPosednessError(int(bad[0]), float(conds[bad[0]]))

@@ -217,8 +217,9 @@ class TestAssembleBlocks:
         assert rows < P and P % rows != 0
         E = build_polar_grid(rays, np.linspace(*spatial_radii, P // rays), N, kind="spatial")
         F = build_polar_grid(1, np.linspace(*frequency_radii, Q), N, kind="frequency")
-        assert bessel.is_axis_pair(E, F) == (rays == 1)
-        blocks = assemble_blocks(E, F).blocks
+        assembled = assemble_blocks(E, F)
+        assert np.isrealobj(assembled.stack) == (rays == 1)
+        blocks = assembled.blocks
         assert blocks.shape == (N, P, Q)
         scale = np.abs(blocks).max()
         for k in list(range(0, Q, Q // 8)) + [Q - 1]:
@@ -264,8 +265,8 @@ class TestAssembleBlocks:
         # blocks[n] = i^m * stack[m], m = min(n, N - n), built on access as a
         # complex, C-contiguous, bitwise mirrored (N, P, Q) array.
         E, F = square_bench_grids(N, 12)
-        assert bessel.is_axis_pair(E, F)
         assembled = assemble_blocks(E, F)
+        assert np.isrealobj(assembled.stack)
         stack, blocks = assembled.stack, assembled.blocks
         assert stack.dtype == float and stack.shape == (N // 2 + 1, 12, 12)
         assert blocks.dtype == complex and blocks.shape == (N, 12, 12) and blocks.flags.c_contiguous
@@ -275,18 +276,23 @@ class TestAssembleBlocks:
             assert np.array_equal(blocks[-n], (-1) ** n * blocks[n].conj())
 
     def test_axis_pair_predicate(self):
-        # N even and every slice angle exactly 0; a canonicalized polar point
-        # set qualifies, a second ray, odd N or a turned slice point does not.
+        # Assembly stores the real half-stack for N even and every slice angle
+        # 0 (-0.0 included); a canonicalized polar point set qualifies, a
+        # second ray, odd N or a turned slice point does not.
+        def stored_real(E, F):
+            return np.isrealobj(assemble_blocks(E, F).stack)
+
         radii = np.linspace(1, 4, 5)
         E, F = square_grid_pair(8, radii)
-        assert bessel.is_axis_pair(E, F)
+        assert stored_real(E, F)
         points = E.full_xy().reshape(-1, 2)[::-1]
-        assert bessel.is_axis_pair(canonicalize(points, 8), F)
-        assert not bessel.is_axis_pair(*demo_grids())
-        assert not bessel.is_axis_pair(*square_grid_pair(7, radii))
+        assert stored_real(canonicalize(points, 8), F)
+        assert not stored_real(*demo_grids())
+        assert not stored_real(*square_grid_pair(7, radii))
         turned = RotInvariantGrid(8, (SlicePoint(1.0, 0.1),), "spatial").validate()
-        assert not bessel.is_axis_pair(turned, F)
-        assert not np.isrealobj(assemble_blocks(turned, F).stack)
+        assert not stored_real(turned, F)
+        negative_zero = RotInvariantGrid(8, (SlicePoint(1.0, -0.0),), "spatial").validate()
+        assert stored_real(negative_zero, F)
 
     def test_mismatched_N(self):
         from rotap import GridMismatch

@@ -145,6 +145,44 @@ def test_valid_inputs_exit_0(workdir):
         assert run_cli(argv) == 0, argv
 
 
+# Grid files with the right bytes but the wrong types or counts, which the
+# byte-level fuzzers below do not make: an N of JSON true (a bool, not an int)
+# and a grid with no slice point.
+BAD_GRIDS = {
+    "N-true": {"N": True, "kind": "spatial", "points": [{"radius": 1.0, "angle": 0.0}]},
+    "no-points": {"N": 4, "kind": "spatial", "points": []},
+}
+
+
+@pytest.mark.parametrize("command", ["evaluate", "interpolate", "approximate", "demo-image"])
+@pytest.mark.parametrize("grid", list(BAD_GRIDS))
+def test_bad_grid_exit_3(workdir, grid, command):
+    # Every command that reads the grid refuses it with one "grid error:" line.
+    # The other inputs fit the grid (N=True counts as 1), so nothing else can
+    # refuse them first.
+    record = BAD_GRIDS[grid]
+    N, count = int(record["N"]), len(record["points"])
+    path = workdir / f"bad-{grid}.json"
+    path.write_text(json.dumps(record))
+    coeffs = workdir / f"bad-{grid}-coeffs.bin"
+    save_coefficients(coeffs, ApCoefficients(np.ones((N, 1)), build_polar_grid(1, [1.0], N, kind="frequency")))
+    samples = workdir / f"bad-{grid}-samples.bin"
+    header = json.dumps({"N": N, "count": count, "grid": path.name}).encode()
+    samples.write_bytes(header + b"\n" + np.ones(N * count, dtype="<c16").tobytes())
+    out = str(workdir / "out.bin")
+    argv = {
+        "evaluate": ["evaluate", str(coeffs), "--grid", str(path), "--out", out],
+        "interpolate": ["interpolate", str(samples), "--out", out],
+        "approximate": ["approximate", str(samples), "--out", out],
+        "demo-image": ["demo-image", str(workdir / "image.csv"), "--grid", str(path)],
+    }[command]
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        assert main(argv) == 3
+    lines = stderr.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("grid error:")
+
+
 @FUZZ
 @given(data=st.data())
 def test_fuzz_grid_json(workdir, valid, data):

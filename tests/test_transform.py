@@ -211,9 +211,9 @@ class TestPrefactorize:
         assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
 
     def test_first_singular_bin_is_named_even_N(self, rng):
-        # Bin 4 is singular and its mirror, bin 2, is not: the stack is not
-        # mirrored, so every bin is factored and the error names bin 4.  Its
-        # zero row gives an exact zero pivot under any rounding.
+        # Bin 4 is singular and its mirror, bin 2, is not.  A stack built by
+        # hand has every bin factored, so the error names bin 4.  Its zero
+        # row gives an exact zero pivot under any rounding.
         blocks = assemble_blocks(random_slice_grid(rng, 6, 3), random_slice_grid(rng, 6, 3, "frequency"))
         stack = blocks.blocks.copy()
         stack[4, 1] = 0
@@ -268,6 +268,55 @@ class TestPrefactorize:
                 assert fact.conditions[n_hat] == pytest.approx(cond, rel=1e-12)
                 assert np.abs(fact.operators[n_hat] - want).max() <= 1e-12 * np.abs(want).max()
         assert_mirrored(prefactorize(blocks, "approximation", Weights(mirrored)))
+
+    @pytest.mark.parametrize(
+        "grids, calls",
+        [
+            (demo_grids, (5, 5, 8)),
+            (lambda: square_bench_grids(8, 16), (5, 5, 8)),
+            (lambda: square_grid_pair(7, np.linspace(1, 4, 6)), (7, 7, 7)),
+        ],
+        ids=["demo", "axis", "N7"],
+    )
+    def test_factored_bin_count(self, grids, calls, rng, monkeypatch):
+        # A factored mirror bin is bitwise the mirror of its partner, so only
+        # the number of inversions shows which bins were factored: bins
+        # 0 ... N/2 of assembled even-N blocks in interpolation and with
+        # mirrored weights; every bin for odd N, unmirrored weights and
+        # complex stacks built by hand.
+        inv, counts = np.linalg.inv, []
+
+        def counted(matrix):
+            counts[-1] += 1
+            return inv(matrix)
+
+        monkeypatch.setattr(np.linalg, "inv", counted)
+        E, F = grids()
+        N, Q = E.N, len(F.points)
+        cases = (
+            ("interpolation", None),
+            ("approximation", banded_weights(F, 1.0)),
+            ("approximation", Weights(rng.uniform(0.1, 2.0, (N, Q)))),
+        )
+
+        def factor_all(blocks):
+            counts.clear()
+            facts = []
+            for mode, w in cases:
+                counts.append(0)
+                facts.append(prefactorize(blocks, mode, w))
+            return facts, tuple(counts)
+
+        blocks = assemble_blocks(E, F)
+        assembled, got = factor_all(blocks)
+        assert got == calls
+        hand, got = factor_all(FourierBesselBlocks(N, blocks.blocks, E, F))
+        assert got == (N, N, N)
+        # Complex factorizations agree bitwise; the half-stack's real ones
+        # agree with the complex path to rounding (test_products_match_complex_path).
+        for a, h in zip(assembled, hand):
+            if np.iscomplexobj(a.stack):
+                assert np.array_equal(a.operators, h.operators) and a.conditions == h.conditions
 
     @pytest.mark.parametrize("Q", [64, 128])
     def test_half_path_matches_every_bin_factored(self, Q):
