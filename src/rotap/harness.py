@@ -1,10 +1,10 @@
 """Benchmarks and model checks for the factorized transform.
 
-Timings are wall-clock medians from one loop, ``_median_times``, and one row
-format, ``BenchRecord.row``, serves the CSV report and ``rotap bench``.  The
-claimed costs are treated as scaling trends, not exact FLOP targets.  Every
-timed fast-path configuration is validated against the dense oracle before
-timing.
+Fast-stage timings are wall-clock medians from one loop, ``_median_times``;
+the dense oracle is timed by the one call whose result validates the fast
+path.  One row format, ``BenchRecord.row``, serves the CSV report and
+``rotap bench``.  The claimed costs are treated as scaling trends, not exact
+FLOP targets.
 """
 
 from __future__ import annotations
@@ -70,14 +70,14 @@ class BenchReport:
 _WARMUP_CALLS = 10
 
 
-def _median_times(fns: dict, repetitions: int, warmups: int) -> dict:
-    """Median wall time of each callable in ``fns``, under the same keys, after ``warmups`` untimed calls of each.
+def _median_times(fns: dict, repetitions: int) -> dict:
+    """Median wall time of each callable in ``fns``, under the same keys, after ``_WARMUP_CALLS`` untimed calls of each.
 
     Each repetition times every callable in turn, so that drift in machine
     speed, which on a shared host reaches 2x within seconds, reaches all alike.
     """
     for fn in fns.values():
-        for _ in range(warmups):
+        for _ in range(_WARMUP_CALLS):
             fn()
     times = {key: [] for key in fns}
     for _ in range(repetitions):
@@ -105,13 +105,11 @@ def bench_evaluate(N_list, Q_list, repetitions: int = 3, seed: int = 0) -> Bench
     """Time naive vs fast evaluation, block assembly and prefactorize+solve on random data.
 
     ``t_fast`` is one evaluation with the blocks in hand; a fast path that
-    starts from the grids costs ``t_assemble + t_fast``.  The untimed calls
-    that build the inputs and check correctness warm every timed stage.
-    Each stage is timed back to back with itself, the dense oracle last, so
-    that no 0.4-5 s oracle call flushes the caches between the repetitions
-    of a fast stage.  The fast stages warm up over their first few calls, so
-    each first runs ``_WARMUP_CALLS`` times untimed; the oracle, at one call
-    per repetition, does not.
+    starts from the grids costs ``t_assemble + t_fast``.  ``t_naive`` is the
+    time of the one dense-oracle call, whose result checks the fast path;
+    at 0.4-5 s a call, more would only repeat that check.  Every other stage
+    is then timed back to back with itself after ``_WARMUP_CALLS`` untimed
+    calls, since the fast stages warm up over their first few calls.
     """
     if repetitions < 3:
         raise DomainError("repetitions must be >= 3")
@@ -122,8 +120,10 @@ def bench_evaluate(N_list, Q_list, repetitions: int = 3, seed: int = 0) -> Bench
             E, F = square_bench_grids(N, Q)
             blocks = assemble_blocks(E, F)
             coeffs = ApCoefficients(rng.standard_normal((N, Q)) + 1j * rng.standard_normal((N, Q)), F)
-            # Correctness precedes timing.
+            # The timed oracle call checks the fast path before the fast stages are timed.
+            t0 = time.perf_counter()
             ref = evaluate_naive(coeffs, E)
+            t_naive = time.perf_counter() - t0
             fast = evaluate_fast(coeffs, blocks)
             rel = float(np.linalg.norm(fast.values - ref.values) / max(np.linalg.norm(ref.values), 1e-300))
             fact = prefactorize(blocks, "interpolation")
@@ -133,13 +133,9 @@ def bench_evaluate(N_list, Q_list, repetitions: int = 3, seed: int = 0) -> Bench
                 "t_fast": functools.partial(evaluate_fast, coeffs, blocks),
                 "t_prefactorize": functools.partial(prefactorize, blocks, "interpolation"),
                 "t_solve": functools.partial(interpolate, fast, fact),
-                "t_naive": functools.partial(evaluate_naive, coeffs, E),
             }
-            times = {
-                key: _median_times({key: fn}, repetitions, 0 if key == "t_naive" else _WARMUP_CALLS)[key]
-                for key, fn in stages.items()
-            }
-            record = BenchRecord(N, Q, Q, **times, conditions=fact.conditions, oracle_rel_error=rel)
+            times = {key: _median_times({key: fn}, repetitions)[key] for key, fn in stages.items()}
+            record = BenchRecord(N, Q, Q, t_naive, **times, conditions=fact.conditions, oracle_rel_error=rel)
             report.records.append(record)
     return report
 
@@ -161,7 +157,7 @@ def bench_solve_scaling(N: int, Q_list, repetitions: int = 200, seed: int = 0) -
         layout = prefactorize(assemble_blocks(E, F), "interpolation").layout
         rhs = rng.standard_normal((N, Q)) + 1j * rng.standard_normal((N, Q))
         solves[Q] = functools.partial(np.matmul, layout.stack, layout.columns(rhs))
-    return {Q: t / N for Q, t in _median_times(solves, repetitions, _WARMUP_CALLS).items()}
+    return {Q: t / N for Q, t in _median_times(solves, repetitions).items()}
 
 
 def optimal_N(grid_size: int) -> int:

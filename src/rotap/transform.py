@@ -331,6 +331,8 @@ def _load_array(path) -> tuple[np.ndarray, RotInvariantGrid]:
     if len(payload) != expected:
         raise ParseError(f"{path}: expected {expected} payload bytes, got {len(payload)}")
     values = np.frombuffer(payload, dtype="<c16").reshape(N, count).astype(complex)
+    if not np.isfinite(values).all():
+        raise ParseError(f"{path}: the payload holds a non-finite value")
     return values, grid
 
 

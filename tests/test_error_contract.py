@@ -183,6 +183,30 @@ def test_bad_grid_exit_3(workdir, grid, command):
     assert len(lines) == 1 and lines[0].startswith("grid error:")
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("command", ["evaluate", "interpolate", "approximate"])
+def test_non_finite_payload_exit_5(workdir, valid, command, value):
+    # One non-finite entry in an otherwise valid payload is refused on load
+    # with one "I/O error:" line naming the file; no output is written.  The
+    # byte fuzzers above do not see this: run_cli ignores warnings.
+    name = "coeffs.bin" if command == "evaluate" else "samples.bin"
+    header, payload = valid[name].split(b"\n", 1)
+    values = np.frombuffer(payload, dtype="<c16").copy()
+    values[3] = complex(value, 0.0)
+    path = workdir / f"non-finite-{command}-{name}"
+    path.write_bytes(header + b"\n" + values.tobytes())
+    out = workdir / f"non-finite-{command}-out.bin"
+    argv = [command, str(path), "--out", str(out)]
+    if command == "evaluate":
+        argv += ["--grid", str(workdir / "grid.json")]
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        assert main(argv) == 5
+    lines = stderr.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("I/O error:") and str(path) in lines[0]
+    assert not out.exists()
+
+
 @FUZZ
 @given(data=st.data())
 def test_fuzz_grid_json(workdir, valid, data):

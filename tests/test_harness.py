@@ -1,5 +1,6 @@
 import collections
 import csv
+import time
 
 import pytest
 
@@ -48,8 +49,8 @@ class TestBenchEvaluate:
 
     def test_fast_stages_warm_up_untimed(self, monkeypatch):
         # Every stage but the dense oracle runs the same number of untimed
-        # calls before its timed repetitions; the oracle runs once to check
-        # and once per repetition.
+        # calls before its timed repetitions; the oracle runs once, timed,
+        # and that call also checks the fast path.
         calls = collections.Counter()
 
         def counting(name, fn):
@@ -65,7 +66,24 @@ class TestBenchEvaluate:
         bench_evaluate([4], [6], repetitions=3, seed=1)
         warmups = calls["evaluate_fast"] - 1 - 3
         assert warmups >= 3
-        assert calls == {name: 1 + 3 + (0 if name == "evaluate_naive" else warmups) for name in stages}
+        assert calls == {name: 1 if name == "evaluate_naive" else 1 + 3 + warmups for name in stages}
+
+    def test_t_naive_is_the_checking_call(self, monkeypatch):
+        # Only the oracle's first call, the one that checks the fast path, is
+        # slowed; t_naive must be that call's time.
+        naive = harness.evaluate_naive
+        calls = []
+
+        def slow_naive(*args):
+            if not calls:
+                time.sleep(0.05)
+            calls.append(args)
+            return naive(*args)
+
+        monkeypatch.setattr(harness, "evaluate_naive", slow_naive)
+        rec = bench_evaluate([4], [6], repetitions=3, seed=1).records[0]
+        assert 0.05 <= rec.t_naive < 0.5
+        assert rec.oracle_rel_error < 1e-10
 
     def test_rejects_too_few_repetitions(self):
         with pytest.raises(ValueError):
