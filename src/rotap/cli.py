@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import os
 import sys
 
@@ -136,14 +137,6 @@ def _solve_command(args, mode: str, solve, load_weights=None) -> int:
     return 0
 
 
-def cmd_interpolate(args) -> int:
-    return _solve_command(args, "interpolation", interpolate)
-
-
-def cmd_approximate(args) -> int:
-    return _solve_command(args, "approximation", approximate, _load_weights)
-
-
 def cmd_demo_image(args) -> int:
     if not np.all(np.isfinite([args.scale, *args.shift])):
         raise DomainError("--scale and --shift must be finite")
@@ -214,6 +207,8 @@ def cmd_verify_rep(args) -> int:
         raise DomainError(f"--N must be >= 1, got {N}")
     if args.seeds < 1:
         raise DomainError(f"--seeds must be >= 1, got {args.seeds}")
+    if args.seed < 0:
+        raise DomainError(f"--seed must be >= 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     worst_hom = 0.0
     worst_uni = 0.0
@@ -261,13 +256,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check-oracle", action="store_true")
     p.set_defaults(func=cmd_evaluate)
 
-    for name, fn in (("interpolate", cmd_interpolate), ("approximate", cmd_approximate)):
+    solvers = (("interpolate", "interpolation", interpolate, None), ("approximate", "approximation", approximate, _load_weights))
+    for name, mode, solve, load_weights in solvers:
         p = sub.add_parser(name, help=f"{name} samples into coefficients")
         p.add_argument("samples")
         p.add_argument("--frequency-grid")
         p.add_argument("--out", required=True)
         p.add_argument("--check-oracle", action="store_true")
-        p.set_defaults(func=fn)
+        p.set_defaults(func=functools.partial(_solve_command, mode=mode, solve=solve, load_weights=load_weights))
         if name == "approximate":
             p.add_argument("--weights", help='"zero" or a CSV matrix path')
             p.add_argument("--weights-scheme", choices=("paper",))

@@ -8,8 +8,10 @@ Fourier-Bessel matrices, which is what makes the fast paths fast:
 
     fft(samples)[n_hat, :] = J_{n_hat} @ fft(coeffs)[n_hat, :]
 
-Both solves prefactorize the blocks with numpy's LAPACK alone.  The dense
-naive evaluation is kept as the correctness oracle.
+Evaluation and both solves run that one round trip (:func:`_round_trip`)
+through the blocks or through their prefactorized inverses, which numpy's
+LAPACK alone computes.  The dense naive evaluation is kept as the
+correctness oracle; it needs no common N.
 """
 
 from __future__ import annotations
@@ -95,17 +97,17 @@ def dft_rotation_axis(values: np.ndarray, direction: str = "forward") -> np.ndar
 
 
 def evaluate_naive(coeffs: ApCoefficients, E: RotInvariantGrid) -> SampleArray:
-    """Dense double-sum evaluation on the full grid; the oracle for the fast path."""
-    F = coeffs.frequency_grid
-    if E.N != F.N:
-        raise GridMismatch(f"spatial grid has N={E.N}, frequency grid has N={F.N}")
-    N = E.N
-    freqs = F.full_xy().reshape(-1, 2)  # (N*Q, 2)
-    pts = E.full_xy()  # (N, P, 2)
+    """Dense double-sum evaluation on the full grid; the oracle for the fast path.
+
+    It sums over E's full points and F's full frequencies, so it takes any
+    grid pair, also one whose two N differ, which the fast path refuses.
+    """
+    freqs = coeffs.frequency_grid.full_xy().reshape(-1, 2)  # (F.N*Q, 2)
+    pts = E.full_xy()  # (E.N, P, 2)
     flat = coeffs.values.reshape(-1)
-    out = np.empty((N, len(E.points)), dtype=complex)
-    for n in range(N):
-        phase = pts[n] @ freqs.T  # (P, N*Q)
+    out = np.empty((E.N, len(E.points)), dtype=complex)
+    for n in range(E.N):
+        phase = pts[n] @ freqs.T  # (P, F.N*Q)
         out[n] = np.exp(1j * phase) @ flat
     return SampleArray(out, E)
 
@@ -117,13 +119,16 @@ def evaluate_at_point(coeffs: ApCoefficients, x) -> complex:
     return complex(np.exp(1j * phase) @ coeffs.values.reshape(-1))
 
 
+def _round_trip(values: np.ndarray, layout: _Layout) -> np.ndarray:
+    """The factorized operator: DFT along the rotation axis, ``layout``'s per-bin product, inverse DFT."""
+    return dft_rotation_axis(layout.apply(dft_rotation_axis(values, "forward")), "inverse")
+
+
 def evaluate_fast(coeffs: ApCoefficients, blocks: FourierBesselBlocks) -> SampleArray:
     """Factorized evaluation: DFT, one P x Q block per bin, inverse DFT."""
     if not coeffs.frequency_grid.same_geometry(blocks.frequency_grid):
         raise GridMismatch("coefficient grid does not match the blocks' frequency grid")
-    chat = dft_rotation_axis(coeffs.values, "forward")
-    shat = blocks.layout.apply(chat)
-    return SampleArray(dft_rotation_axis(shat, "inverse"), blocks.spatial_grid)
+    return SampleArray(_round_trip(coeffs.values, blocks.layout), blocks.spatial_grid)
 
 
 @dataclass(frozen=True)
@@ -249,9 +254,7 @@ def _solve(samples: SampleArray, fact: BlockFactorization, mode: str) -> ApCoeff
         raise ValueError(f"factorization was not built in {mode} mode")
     if not samples.spatial_grid.same_geometry(fact.spatial_grid):
         raise GridMismatch("sample grid does not match the factorization's spatial grid")
-    what = dft_rotation_axis(samples.values, "forward")
-    vhat = fact.layout.apply(what)
-    return ApCoefficients(dft_rotation_axis(vhat, "inverse"), fact.frequency_grid)
+    return ApCoefficients(_round_trip(samples.values, fact.layout), fact.frequency_grid)
 
 
 def interpolate(samples: SampleArray, fact: BlockFactorization) -> ApCoefficients:

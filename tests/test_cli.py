@@ -11,6 +11,7 @@ import pytest
 from rotap import (
     build_polar_grid,
     evaluate_fast,
+    evaluate_naive,
     assemble_blocks,
     load_coefficients,
     load_grid,
@@ -105,6 +106,19 @@ class TestEvaluateSolveRoundtrip:
         np.testing.assert_allclose(
             load_samples(out_fast).values, load_samples(out_naive).values, atol=1e-10
         )
+
+    def test_naive_takes_another_N(self, setup, tmp_path, capsys):
+        # The dense oracle needs no common N; the fast path's assembly refuses the pair.
+        E, F, gpath, coeffs, cpath = setup
+        F8 = build_polar_grid(2, [0.7, 1.9], 8, kind="frequency")
+        c8 = ApCoefficients(np.ones((8, 4)), F8)
+        save_coefficients(cpath, c8)
+        out = tmp_path / "s.bin"
+        assert main(["evaluate", str(cpath), "--grid", str(gpath), "--out", str(out), "--naive"]) == 0
+        np.testing.assert_array_equal(load_samples(out).values, evaluate_naive(c8, E).values)
+        capsys.readouterr()
+        rc = main(["evaluate", str(cpath), "--grid", str(gpath), "--out", str(tmp_path / "f.bin")])
+        assert_error(capsys, rc, 3, "grid error:")
 
     def test_interpolate_recovers_coefficients(self, setup, tmp_path):
         E, F, gpath, coeffs, cpath = setup
@@ -399,6 +413,14 @@ class TestVerifyRepCommand:
         assert rc == 2 and out == ""
         assert err.startswith("usage error: --seeds must be >= 1") and "Traceback" not in err
 
+    @pytest.mark.parametrize("seed", ["-1"])
+    def test_negative_seed_exit_2(self, capsys, seed):
+        # numpy's default_rng refuses a negative seed with ValueError, which would end in a traceback.
+        rc = main(["verify-rep", "--N", "3", "--seed", seed])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err.startswith("usage error: --seed must be >= 0") and err.count("\n") == 1
+
 
 @pytest.fixture
 def smoke_image(tmp_path):
@@ -581,8 +603,11 @@ class TestErrorContract:
             ("[" * 200000 + "]" * 200000, 5, "I/O error:"),
             # A one-point orbit must be refused without allocating anything of size N.
             ('{"N": 1000000000000, "points": [[1, 0]]}', 3, "grid error:"),
+            ('{"N": 4, "points": [[NaN, 0], [0, 1], [-1, 0], [0, -1]]}', 5, "I/O error:"),
+            ('{"N": 4.0, "points": [[1, 0], [0, 1], [-1, 0], [0, -1]]}', 5, "I/O error:"),
         ],
-        ids=["list-without-N", "no-points", "malformed-json", "odd-coordinates", "deep-nesting", "huge-N"],
+        ids=["list-without-N", "no-points", "malformed-json", "odd-coordinates", "deep-nesting", "huge-N",
+             "non-finite-point", "non-integer-N"],
     )
     def test_bad_points_file_exit_code(self, tmp_path, capsys, text, code, prefix):
         src = tmp_path / "pts.json"
@@ -605,9 +630,11 @@ class TestErrorContract:
             b"P2\n2 2\n10\n20 -3 1 2\n",
             b"P2\n1 1\n0\n0\n",
             b"P5\n1 1\n65536\n\x00\x01",
+            # int() refuses a decimal string of more than 4300 digits.
+            b"P5\n" + b"1" * 4301 + b" 1\n255\n\x00",
         ],
         ids=["p5-8bit-above-maxval", "p5-16bit-above-maxval", "p2-above-maxval", "p2-negative", "maxval-0",
-             "maxval-65536"],
+             "maxval-65536", "width-4301-digits"],
     )
     def test_pgm_format_violation_exit_5(self, tmp_path, capsys, smoke_image, pgm):
         _, gpath = smoke_image

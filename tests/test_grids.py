@@ -99,6 +99,15 @@ class TestBuildPolarGrid:
         with pytest.raises(InvalidGrid):
             build_polar_grid(1, [2.0, 1.0], 4)
 
+    @pytest.mark.parametrize(
+        "rays, radii, N, message",
+        [(0, [1.0], 4, "num_rays_per_slice"), (1, [1.0], 0, "N must be"), (1, [], 4, "at least one radius")],
+        ids=["no-rays", "N0", "no-radii"],
+    )
+    def test_rejects_bad_arguments(self, rays, radii, N, message):
+        with pytest.raises(InvalidGrid, match=message):
+            build_polar_grid(rays, radii, N)
+
 
 class TestCanonicalize:
     def test_one_orbit(self):
@@ -132,6 +141,10 @@ class TestCanonicalize:
     def test_origin_in_frequency_grid(self):
         with pytest.raises(TrivialStabilizer):
             canonicalize([(0.0, 0.0)], 4, kind="frequency")
+
+    def test_zero_N_rejected(self):
+        with pytest.raises(InvalidGrid, match="N must be >= 1"):
+            canonicalize([(1.0, 0.0)], 0)
 
     def test_origin_once_in_spatial_grid(self):
         g = canonicalize([(0.0, 0.0), (1, 0), (0, 1), (-1, 0), (0, -1)], 4)
@@ -293,6 +306,19 @@ class TestValidation:
                     grid.validate()
                 assert str(exc.value) == expected
         assert 100 <= raised < 200
+
+    @pytest.mark.parametrize(
+        "points, kind, message",
+        [
+            ((SlicePoint(1.0, 0.1),), "polar", "unknown grid kind"),
+            ((SlicePoint(-1.0, 0.1),), "spatial", "negative radius"),
+            ((SlicePoint(0.0, 0.0), SlicePoint(1.0, 0.1), SlicePoint(0.0, 0.0)), "spatial", "origin may appear at most once"),
+        ],
+        ids=["unknown-kind", "negative-radius", "two-origins"],
+    )
+    def test_bad_slice_rejected(self, points, kind, message):
+        with pytest.raises(InvalidGrid, match=message):
+            RotInvariantGrid(4, points, kind).validate()
 
     def test_angle_out_of_slice(self):
         with pytest.raises(InvalidGrid):

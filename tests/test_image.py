@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rotap import bilinear_sample, synthetic_image
-from rotap.image import load_image
+from rotap.image import RasterImage, load_image
 
 FAR = [(1e300, 0.5), (-1e300, 0.5), (0.5, 1e300), (0.5, -1e300), (1e20, 1e20)]
 
@@ -16,6 +16,12 @@ def test_far_points_sample_zero():
     assert np.array_equal(bilinear_sample(img, FAR), np.zeros(len(FAR)))
     # Point (-1, 2) sits on pixel (row 2, col 3), so bilinear weights reduce to it.
     assert bilinear_sample(img, [(-1.0, 2.0)])[0] == img.pixels[2, 3]
+
+
+@pytest.mark.parametrize("pixels", [np.ones(4), np.ones((0, 3))], ids=["1d", "empty"])
+def test_raster_image_needs_nonempty_2d_pixels(pixels):
+    with pytest.raises(ValueError, match="nonempty 2D array"):
+        RasterImage(pixels)
 
 
 def reference_sample(pixels: np.ndarray, x: float, y: float) -> float:

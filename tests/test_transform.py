@@ -101,6 +101,10 @@ class TestDft:
         back = dft_rotation_axis(fwd, "inverse")
         assert np.linalg.norm(back - v) <= 1e-13 * np.linalg.norm(v)
 
+    def test_unknown_direction(self):
+        with pytest.raises(ValueError, match="unknown direction 'backward'"):
+            dft_rotation_axis(np.ones((2, 1)), "backward")
+
 
 class TestEvaluate:
     def test_zero_coefficients(self, rng):
@@ -145,10 +149,28 @@ class TestEvaluate:
         np.testing.assert_allclose(fast[0], blocks.blocks[0] @ c.values[0], rtol=1e-13)
 
     def test_grid_mismatch(self, rng):
+        # The dense oracle sums over both full grids, so E.N != F.N evaluates; the factorization refuses the pair.
         E = random_slice_grid(rng, 4, 2)
         F = random_slice_grid(rng, 8, 2, "frequency")
+        c = random_coefficients(rng, F)
+        naive = evaluate_naive(c, E)
+        assert naive.values.shape == (4, 2)
+        for n, j in np.ndindex(naive.values.shape):
+            assert naive.values[n, j] == pytest.approx(evaluate_at_point(c, E.full_xy()[n, j]), rel=1e-12, abs=1e-12)
         with pytest.raises(GridMismatch):
-            evaluate_naive(random_coefficients(rng, F), E)
+            assemble_blocks(E, F)
+
+    @pytest.mark.parametrize("cls", [ApCoefficients, SampleArray], ids=["coefficients", "samples"])
+    def test_values_must_fit_their_grid(self, cls):
+        E, F = square_grid_pair(4, [1.0, 2.0])
+        with pytest.raises(GridMismatch, match=r"shape \(4, 3\) does not match grid shape \(4, 2\)"):
+            cls(np.zeros((4, 3)), F if cls is ApCoefficients else E)
+
+    def test_fast_refuses_another_frequency_grid(self, rng):
+        E, F = square_grid_pair(4, [1.0, 2.0])
+        other = build_polar_grid(1, [1.0, 3.0], 4, kind="frequency")
+        with pytest.raises(GridMismatch, match="blocks' frequency grid"):
+            evaluate_fast(random_coefficients(rng, other), assemble_blocks(E, F))
 
     def test_evaluate_at_origin(self, rng):
         F = random_slice_grid(rng, 4, 3, "frequency")
@@ -222,6 +244,15 @@ class TestPrefactorize:
             prefactorize(singular, "interpolation")
         assert exc.value.bin_index == 4
         assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
+
+    def test_non_finite_condition_is_named(self, rng):
+        # LAPACK inverts a block holding a NaN without an error; its condition reads NaN, which names the bin.
+        blocks = assemble_blocks(random_slice_grid(rng, 5, 3), random_slice_grid(rng, 5, 3, "frequency"))
+        stack = blocks.blocks.copy()
+        stack[2, 0, 0] = np.nan
+        with pytest.raises(WellPosednessError) as exc:
+            prefactorize(FourierBesselBlocks(5, stack, blocks.spatial_grid, blocks.frequency_grid), "interpolation")
+        assert exc.value.bin_index == 2 and math.isnan(exc.value.condition)
 
     def test_duplicated_point_approximation_is_singular(self):
         # A duplicated point makes J* J singular only up to rounding: its
@@ -413,6 +444,19 @@ class TestPrefactorize:
         F = random_slice_grid(rng, 4, 2, "frequency")
         with pytest.raises(GridMismatch):
             prefactorize(assemble_blocks(E, F), "interpolation")
+
+    @pytest.mark.parametrize(
+        "mode, P, Q, error, message",
+        [
+            ("approximation", 2, 3, GridMismatch, "approximation requires P >= Q"),
+            ("fit", 3, 3, ValueError, "unknown mode"),
+        ],
+        ids=["approximation-P<Q", "unknown-mode"],
+    )
+    def test_bad_mode_or_shape_raises(self, rng, mode, P, Q, error, message):
+        blocks = assemble_blocks(random_slice_grid(rng, 4, P), random_slice_grid(rng, 4, Q, "frequency"))
+        with pytest.raises(error, match=message):
+            prefactorize(blocks, mode)
 
 
 def axis_grids(N):
@@ -621,6 +665,21 @@ class TestApproximate:
         )
         objective = approximation_objective(c, SampleArray(values, E), assemble_blocks(E, F), w)
         assert objective == pytest.approx(dense, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "solve, mode, other_mode",
+        [(interpolate, "interpolation", "approximation"), (approximate, "approximation", "interpolation")],
+        ids=["interpolate", "approximate"],
+    )
+    def test_solve_refuses_other_mode_or_grid(self, rng, solve, mode, other_mode):
+        E, F = square_grid_pair(4, [1.0, 2.0])
+        blocks = assemble_blocks(E, F)
+        samples = SampleArray(rng.standard_normal((4, 2)), E)
+        with pytest.raises(ValueError, match=f"factorization was not built in {mode} mode"):
+            solve(samples, prefactorize(blocks, other_mode))
+        moved = SampleArray(samples.values, build_polar_grid(1, [1.0, 3.0], 4))
+        with pytest.raises(GridMismatch, match="sample grid"):
+            solve(moved, prefactorize(blocks, mode))
 
     def test_banded_weight_scheme(self):
         F = build_polar_grid(1, [0.5, 1.2, 2.5], 4, kind="frequency")
