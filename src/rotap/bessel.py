@@ -271,6 +271,19 @@ def _kernel_bins(products: np.ndarray, deltas: np.ndarray | None, N: int, out: n
     return _mirror_bins(out)
 
 
+def _check_products(rho: float, xi: float) -> None:
+    """Raise DomainError unless xi*rho is finite: the largest spatial radius (or |x|) times the largest frequency.
+
+    The product bounds every phase of the kernel, xi*rho*cos(...), and of the
+    plane waves, <x, lambda>; beyond it they overflow and every value is NaN.
+    The two are multiplied as Python floats, which overflow to inf without
+    the RuntimeWarning of numpy's.
+    """
+    largest = float(rho) * float(xi)
+    if not math.isfinite(largest):
+        raise DomainError(f"the largest product xi*rho = {largest} of the radii is not finite")
+
+
 def generalized_bessel(n_hat: int, lam, y, N: int) -> complex:
     """The generalized Bessel kernel J_{n_hat}(lam, y) on the N-rotation group.
 
@@ -284,8 +297,7 @@ def generalized_bessel(n_hat: int, lam, y, N: int) -> complex:
         raise DomainError(f"n_hat must lie in [0, {N}), got {n_hat}")
     xi, omega = _polar(lam)
     rho, alpha = _polar(y)
-    if not math.isfinite(xi * rho):
-        raise DomainError(f"the product xi*rho = {xi * rho} is not finite")
+    _check_products(rho, xi)
     return complex(_kernel_bins(np.float64(xi * rho), np.float64(alpha - omega), N)[n_hat])
 
 
@@ -441,7 +453,7 @@ def assemble_blocks(E: RotInvariantGrid, F: RotInvariantGrid) -> FourierBesselBl
     An axis pair is closed under y -> -y, so J_{N-n} = J_n, which with
     J_{N-n} = (-1)^n conj(J_n) makes S_n = i^-n * J_n real (DLMF 10.12).  Raises
     :class:`~rotap.errors.DomainError` when the largest product xi*rho of the
-    radii is not finite: every kernel entry would be NaN.
+    radii is not finite (:func:`_check_products`).
     """
     if E.N != F.N:
         raise GridMismatch(f"spatial grid has N={E.N}, frequency grid has N={F.N}")
@@ -449,10 +461,7 @@ def assemble_blocks(E: RotInvariantGrid, F: RotInvariantGrid) -> FourierBesselBl
     rho, alpha = E.slice_polar()
     xi, omega = F.slice_polar()
     P, Q = len(rho), len(xi)
-    # Python floats overflow to inf without the RuntimeWarning of numpy's.
-    largest = float(rho.max(initial=0)) * float(xi.max(initial=0))
-    if not math.isfinite(largest):
-        raise DomainError(f"the largest product xi*rho = {largest} of the grids' radii is not finite")
+    _check_products(rho.max(initial=0), xi.max(initial=0))
     axis = N % 2 == 0 and not (alpha.any() or omega.any())
     stack = np.empty((N // 2 + 1, P, Q)) if axis else np.empty((N, P, Q), dtype=complex)
     rows = max(1, _CHUNK_ENTRIES // max(1, N * Q))
@@ -471,8 +480,8 @@ def classical_bessel(n: int, x: float) -> float:
     until two successive values agree to 1e-12.  Spectrally accurate because
     the integrand is smooth and periodic.
     """
-    if abs(x) > 1e4:
-        raise DomainError(f"|x| = {abs(x)} exceeds the quadrature validity range 1e4")
+    if not abs(x) <= 1e4:  # NaN too, which would double the nodes to 2^25 and return NaN
+        raise DomainError(f"|x| = {abs(x)} lies outside the quadrature validity range [0, 1e4]")
     prev = None
     # 2^6 nodes already resolve |x| ~ 10; large |x| needs ~|x| nodes.
     for m in range(6, 26):

@@ -155,8 +155,6 @@ def cmd_demo_image(args) -> int:
     results = {}
     for mode, solve, weights in fits:
         fact = prefactorize(blocks, mode, weights)
-        if (err := _ill_conditioned(fact)) is not None:
-            print(f"warning: {mode} may be inaccurate: {err}", file=sys.stderr)
         fit = solve(samples, fact)
         results[mode] = {
             "coeffs": fit,
@@ -164,6 +162,9 @@ def cmd_demo_image(args) -> int:
             "rotated": evaluate_fast(rotate_coefficients(fit, m_rot), blocks),
             "translated": evaluate_fast(translate_coefficients(fit, xi), blocks),
         }
+        # Warned only once the mode's results stand, so that a refused shift ends in its one error line.
+        if (err := _ill_conditioned(fact)) is not None:
+            print(f"warning: {mode} may be inaccurate: {err}", file=sys.stderr)
 
     header = ["mode", *(f"norm_{name}" for name in results["interpolation"])]
     rows = [[mode, *(float(np.linalg.norm(r.values)) for r in named.values())] for mode, named in results.items()]

@@ -84,15 +84,11 @@ class RotInvariantGrid:
         z = self.slice_xy() @ np.array([1, 1j])
         moved = np.flatnonzero((z != 0) & (self.N > 1))
         others = np.concatenate((z, z[moved] * np.exp(1j * width)))
-        if not _has_close_pair(others):
-            return self
-        # Some pair is close: name the first slice point i with a close copy, and that copy.
-        index = np.concatenate((np.arange(len(z)), moved))
-        for i in range(len(z)):
-            d = np.abs(others[i + 1 :] - z[i])
-            if d.size and d.min() <= DUPLICATE_TOL:
-                j = index[i + 1 + np.argmin(d)]
-                raise InvalidGrid(f"slice point {i} duplicates a full-grid copy of slice point {j}")
+        pair = _first_close_pair(others, len(z))
+        if pair is not None:
+            i, k = pair
+            j = k if k < len(z) else moved[k - len(z)]
+            raise InvalidGrid(f"slice point {i} duplicates a full-grid copy of slice point {j}")
         return self
 
     def slice_xy(self) -> np.ndarray:
@@ -117,34 +113,57 @@ class RotInvariantGrid:
         return self.N == other.N and self.points == other.points
 
 
-def _has_close_pair(z: np.ndarray) -> bool:
-    """Whether two of the complex points ``z`` lie within DUPLICATE_TOL, by a sweep along one direction.
+def _first_close_pair(z: np.ndarray, count: int) -> tuple[int, int] | None:
+    """The first of the complex points ``z[:count]`` with a later point of ``z`` within DUPLICATE_TOL, and the nearest such point.
 
-    The points are sorted on u, their projection onto the direction at 1
-    radian, and entries k apart in u order are compared for k = 1, 2, ...,
-    each entry only while its u gap to the entry k ahead stays within
-    ``reach``; gaps only widen with k.  Two points within DUPLICATE_TOL have
-    projections within it too, and rounding moves each u by under
-    3*eps*|z|, so ``reach`` misses no pair.  On points spread along u the
-    sweep ends after a few O(P) passes; points that share u cost up to
-    O(P^2).  The direction lies off the axes, where grids put whole slices:
-    turned by a quarter, a slice at angle 0 has every x near 0.
+    Both come as indices into ``z``, the nearest point the earliest on ties;
+    None when no point of ``z[:count]`` has one.  The pairs are found by a
+    sweep along one direction: the points are sorted on u, their projection
+    onto the direction at 1 radian, and entries k apart in u order are
+    compared for k = 1, 2, ..., each entry only while its u gap to the entry
+    k ahead stays within ``reach``; gaps only widen with k.  Two points
+    within DUPLICATE_TOL have projections within it too, and rounding moves
+    each u by under 3*eps*|z|, so ``reach`` misses no pair.  On points spread
+    along u the sweep ends after a few O(P) passes; points that share u cost
+    up to O(P^2).  The direction lies off the axes, where grids put whole
+    slices: turned by a quarter, a slice at angle 0 has every x near 0.
+
+    Once a pair is found, an entry stays in the sweep only while it can
+    still be in a pair whose earlier index is at most the best so far: its
+    own index is, or an entry ahead of it within ``reach`` has such an index.
+    The sort is stable, so equal points sit in index order and a cluster of
+    m copies leaves the sweep after one pass, all but its first member, which
+    takes m passes of one entry each.
     """
-    if len(z) < 2:
-        return False
     u = z.real * math.cos(1.0) + z.imag * math.sin(1.0)
-    order = np.argsort(u)
+    order = np.argsort(u, kind="stable")
     z, u = z[order], u[order]
     reach = DUPLICATE_TOL + 8 * np.finfo(float).eps * (np.abs(z).max() + DUPLICATE_TOL)
     near = np.arange(len(z))
+    pairs = []  # (earlier index, distance, later index) of every close pair found
+    best = count
     for k in range(1, len(z)):
         near = near[near < len(z) - k]
         near = near[u[near + k] - u[near] <= reach]
         if not near.size:
-            return False
-        if np.any(np.abs(z[near + k] - z[near]) <= DUPLICATE_TOL):
-            return True
-    return False
+            break
+        distance = np.abs(z[near + k] - z[near])
+        close = distance <= DUPLICATE_TOL
+        if close.any():
+            a, b = order[near[close]], order[near[close] + k]
+            earlier = np.minimum(a, b)
+            pairs.append((earlier, distance[close], np.maximum(a, b)))
+            if earlier.min() < best:
+                best = int(earlier.min())
+                below = np.flatnonzero(order <= best)
+        if best < count:
+            ahead = below[np.minimum(np.searchsorted(below, near + k, side="right"), len(below) - 1)]
+            near = near[(order[near] <= best) | ((ahead > near + k) & (u[ahead] - u[near] <= reach))]
+    if best == count:
+        return None
+    earlier, distance, later = (np.concatenate(p) for p in zip(*pairs))
+    pick = np.lexsort((later, distance, earlier))[0]
+    return int(earlier[pick]), int(later[pick])
 
 
 def _fold(xy, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -11,7 +11,9 @@ Fourier-Bessel matrices, which is what makes the fast paths fast:
 Evaluation and both solves run that one round trip (:func:`_round_trip`)
 through the blocks or through their prefactorized inverses, which numpy's
 LAPACK alone computes.  The dense naive evaluation is kept as the
-correctness oracle; it needs no common N.
+correctness oracle; it needs no common N.  Like the blocks, the oracle and
+the translation refuse, with :class:`DomainError`, a largest radius (or |x|)
+times the largest frequency that is not finite, whose phases would overflow.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bessel import FourierBesselBlocks, _Layout
+from .bessel import FourierBesselBlocks, _check_products, _Layout
 from .errors import DomainError, GridMismatch, ParseError, TrivialStabilizer, WellPosednessError
 from .grids import RotInvariantGrid, grid_from_dict, grid_to_dict, load_grid
 
@@ -102,6 +104,7 @@ def evaluate_naive(coeffs: ApCoefficients, E: RotInvariantGrid) -> SampleArray:
     It sums over E's full points and F's full frequencies, so it takes any
     grid pair, also one whose two N differ, which the fast path refuses.
     """
+    _check_products(E.slice_polar()[0].max(), coeffs.frequency_grid.slice_polar()[0].max())
     freqs = coeffs.frequency_grid.full_xy().reshape(-1, 2)  # (F.N*Q, 2)
     pts = E.full_xy()  # (E.N, P, 2)
     flat = coeffs.values.reshape(-1)
@@ -114,8 +117,10 @@ def evaluate_naive(coeffs: ApCoefficients, E: RotInvariantGrid) -> SampleArray:
 
 def evaluate_at_point(coeffs: ApCoefficients, x) -> complex:
     """Evaluate the almost-periodic function at an arbitrary planar point."""
+    x = np.asarray(x, dtype=float)
+    _check_products(np.hypot(*x), coeffs.frequency_grid.slice_polar()[0].max())
     freqs = coeffs.frequency_grid.full_xy().reshape(-1, 2)
-    phase = freqs @ np.asarray(x, dtype=float)
+    phase = freqs @ x
     return complex(np.exp(1j * phase) @ coeffs.values.reshape(-1))
 
 
@@ -278,6 +283,7 @@ def rotate_coefficients(coeffs: ApCoefficients, m: int) -> ApCoefficients:
 def translate_coefficients(coeffs: ApCoefficients, xi) -> ApCoefficients:
     """Coefficient-space translation by xi: the per-frequency phase e^{-i<Lambda, xi>}."""
     xi = np.asarray(xi, dtype=float)
+    _check_products(np.hypot(*xi), coeffs.frequency_grid.slice_polar()[0].max())
     freqs = coeffs.frequency_grid.full_xy()  # (N, Q, 2)
     phases = np.exp(-1j * (freqs @ xi))
     return ApCoefficients(phases * coeffs.values, coeffs.frequency_grid)

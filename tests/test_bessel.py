@@ -8,14 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotap import (
+    ApCoefficients,
     DomainError,
     GridMismatch,
     assemble_blocks,
     build_polar_grid,
     canonicalize,
     classical_bessel,
+    evaluate_at_point,
+    evaluate_naive,
     generalized_bessel,
     kernel_limit_error,
+    translate_coefficients,
 )
 from rotap import bessel
 from rotap.grids import RotInvariantGrid, SlicePoint
@@ -304,12 +308,22 @@ class TestAssembleBlocks:
 
     def test_overflowing_products_raise(self):
         # Products xi*rho beyond the largest double made every entry NaN,
-        # with only RuntimeWarnings; the check itself must not warn.
+        # with only RuntimeWarnings; the check itself must not warn.  The
+        # dense oracle and the translation take their phases <x, lambda>
+        # from the same products, of a grid's radius or of |x|.
         E, F = square_grid_pair(4, [1e308, 1.5e308])
-        with pytest.raises(DomainError, match="not finite"):
-            assemble_blocks(E, F)
-        with pytest.raises(DomainError, match="not finite"):
-            generalized_bessel(1, (1.5e308, 0.0), (1e308, 0.3), 4)
+        small = ApCoefficients(np.ones((4, 2)), build_polar_grid(1, [1.0, 2.0], 4, kind="frequency"))
+        refused = [
+            lambda: assemble_blocks(E, F),
+            lambda: generalized_bessel(1, (1.5e308, 0.0), (1e308, 0.3), 4),
+            lambda: evaluate_naive(ApCoefficients(np.ones((4, 2)), F), E),
+            lambda: evaluate_naive(small, E),
+            lambda: evaluate_at_point(small, (1e308, 1e308)),
+            lambda: translate_coefficients(small, (1e308, 1e308)),
+        ]
+        for call in refused:
+            with pytest.raises(DomainError, match="not finite"):
+                call()
 
     @pytest.mark.parametrize("rays", [1, 2])
     def test_large_finite_products_assemble(self, rays):
@@ -386,8 +400,10 @@ class TestClassicalBessel:
                 )
 
     def test_domain_limit(self):
-        with pytest.raises(DomainError):
-            classical_bessel(0, 2e4)
+        # NaN once doubled the quadrature nodes to 2^25, about 1.5 GB, and returned NaN.
+        for x in (2e4, math.nan):
+            with pytest.raises(DomainError):
+                classical_bessel(0, x)
 
 
 class TestKernelLimit:

@@ -557,8 +557,8 @@ class TestErrorContract:
 
     @pytest.mark.parametrize(
         "geometry",
-        [["--scale", "nan"], ["--scale", "inf"], ["--shift", "nan", "0"]],
-        ids=["scale-nan", "scale-inf", "shift-nan"],
+        [["--scale", "nan"], ["--scale", "inf"], ["--shift", "nan", "0"], ["--shift", "1e308", "1e308"]],
+        ids=["scale-nan", "scale-inf", "shift-nan", "shift-overflows-the-phases"],
     )
     def test_bad_demo_geometry_exit_2(self, capsys, smoke_image, geometry):
         ipath, gpath = smoke_image
@@ -567,15 +567,18 @@ class TestErrorContract:
 
     def test_overflowing_products_exit_2(self, tmp_path, capsys):
         # Radii near the largest double make xi*rho overflow, which would give
-        # all-NaN samples; the command must refuse the grids instead.
+        # all-NaN samples; the command must refuse the grids instead, on the
+        # fast path and on the dense oracle alike.
         gpath, out = tmp_path / "g.json", tmp_path / "s.bin"
         assert main(["grid", "--polar", "--rays", "1", "--radii", "1e308,1.5e308", "--N", "4", "--out", str(gpath)]) == 0
         capsys.readouterr()
         save_coefficients(tmp_path / "c.bin", ApCoefficients(np.ones((4, 2)), freq_twin(load_grid(gpath))))
-        rc = main(["evaluate", str(tmp_path / "c.bin"), "--grid", str(gpath), "--out", str(out)])
-        err = capsys.readouterr().err
-        assert rc == 2 and err.startswith("usage error:") and "not finite" in err and "Traceback" not in err
-        assert not out.exists()
+        for flags in ([], ["--naive"]):
+            rc = main(["evaluate", str(tmp_path / "c.bin"), "--grid", str(gpath), "--out", str(out), *flags])
+            err = capsys.readouterr().err
+            assert rc == 2 and err.startswith("usage error:") and "not finite" in err and "Traceback" not in err
+            assert len(err.splitlines()) == 1
+            assert not out.exists()
 
     def test_out_of_memory_exit_2(self, tmp_path, capsys, monkeypatch):
         # Grids with N = 1000000 ask block assembly for hundreds of GiB; the
