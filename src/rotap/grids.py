@@ -56,8 +56,8 @@ class RotInvariantGrid:
         object.__setattr__(self, "points", tuple(self.points))
 
     def validate(self) -> "RotInvariantGrid":
-        if type(self.N) is not int or self.N < 1:
-            raise InvalidGrid(f"N must be a positive integer, got {self.N!r}")
+        if type(self.N) is not int or not 1 <= self.N < 2**63:
+            raise InvalidGrid(f"N must be a positive integer below 2**63, got {self.N!r}")
         if self.kind not in ("spatial", "frequency"):
             raise InvalidGrid(f"unknown grid kind {self.kind!r}")
         if not self.points:
@@ -84,9 +84,12 @@ class RotInvariantGrid:
         z = self.slice_xy() @ np.array([1, 1j])
         moved = np.flatnonzero((z != 0) & (self.N > 1))
         others = np.concatenate((z, z[moved] * np.exp(1j * width)))
-        pair = _first_close_pair(others, len(z))
-        if pair is not None:
-            i, k = pair
+        head = _groups(others, DUPLICATE_TOL)
+        # The first group with two members is headed by the first slice point with a later copy within DUPLICATE_TOL.
+        i = head[head != np.arange(len(others))].min(initial=len(z))
+        if i < len(z):
+            later = np.flatnonzero(head == i)[1:]
+            k = later[np.argmin(np.abs(others[later] - z[i]))]
             j = k if k < len(z) else moved[k - len(z)]
             raise InvalidGrid(f"slice point {i} duplicates a full-grid copy of slice point {j}")
         return self
@@ -113,57 +116,50 @@ class RotInvariantGrid:
         return self.N == other.N and self.points == other.points
 
 
-def _first_close_pair(z: np.ndarray, count: int) -> tuple[int, int] | None:
-    """The first of the complex points ``z[:count]`` with a later point of ``z`` within DUPLICATE_TOL, and the nearest such point.
+def _groups(z: np.ndarray, tol: float) -> np.ndarray:
+    """The head of each complex point ``z[k]``: the earliest head within ``tol`` of it, else k itself.
 
-    Both come as indices into ``z``, the nearest point the earliest on ties;
-    None when no point of ``z[:count]`` has one.  The pairs are found by a
-    sweep along one direction: the points are sorted on u, their projection
-    onto the direction at 1 radian, and entries k apart in u order are
-    compared for k = 1, 2, ..., each entry only while its u gap to the entry
-    k ahead stays within ``reach``; gaps only widen with k.  Two points
-    within DUPLICATE_TOL have projections within it too, and rounding moves
-    each u by under 3*eps*|z|, so ``reach`` misses no pair.  On points spread
-    along u the sweep ends after a few O(P) passes; points that share u cost
-    up to O(P^2).  The direction lies off the axes, where grids put whole
-    slices: turned by a quarter, a slice at angle 0 has every x near 0.
-
-    Once a pair is found, an entry stays in the sweep only while it can
-    still be in a pair whose earlier index is at most the best so far: its
-    own index is, or an entry ahead of it within ``reach`` has such an index.
-    The sort is stable, so equal points sit in index order and a cluster of
-    m copies leaves the sweep after one pass, all but its first member, which
-    takes m passes of one entry each.
+    Heads are thus taken greedily in index order, distances as ``|z[k] - z[head]|``.
+    The points are bucketed on a lattice of cells at least 4*tol wide, so
+    points within 2*tol of each other lie in the same or adjacent cells.  Each
+    round, a cell's earliest undecided point is a head when no undecided point
+    of the 3x3 cells around it comes earlier; it claims the undecided points
+    within ``tol``, which no earlier head can reach.  Separated clusters,
+    copies included, take one round of O(M log M); a chain of points under
+    ``tol`` apart, numbered along it, takes a round per cell along it.
     """
-    u = z.real * math.cos(1.0) + z.imag * math.sin(1.0)
-    order = np.argsort(u, kind="stable")
-    z, u = z[order], u[order]
-    reach = DUPLICATE_TOL + 8 * np.finfo(float).eps * (np.abs(z).max() + DUPLICATE_TOL)
-    near = np.arange(len(z))
-    pairs = []  # (earlier index, distance, later index) of every close pair found
-    best = count
-    for k in range(1, len(z)):
-        near = near[near < len(z) - k]
-        near = near[u[near + k] - u[near] <= reach]
-        if not near.size:
-            break
-        distance = np.abs(z[near + k] - z[near])
-        close = distance <= DUPLICATE_TOL
-        if close.any():
-            a, b = order[near[close]], order[near[close] + k]
-            earlier = np.minimum(a, b)
-            pairs.append((earlier, distance[close], np.maximum(a, b)))
-            if earlier.min() < best:
-                best = int(earlier.min())
-                below = np.flatnonzero(order <= best)
-        if best < count:
-            ahead = below[np.minimum(np.searchsorted(below, near + k, side="right"), len(below) - 1)]
-            near = near[(order[near] <= best) | ((ahead > near + k) & (u[ahead] - u[near] <= reach))]
-    if best == count:
-        return None
-    earlier, distance, later = (np.concatenate(p) for p in zip(*pairs))
-    pick = np.lexsort((later, distance, earlier))[0]
-    return int(earlier[pick]), int(later[pick])
+    xy = np.stack((z.real, z.imag))
+    # At most 2^30 cells from the origin on each axis, so that the keys fit int64 for any finite radius.
+    side = max(4 * tol, np.abs(xy).max(initial=0.0) * 2.0**-30)
+    column, row = np.floor(xy / side).astype(np.int64)
+    key = column * 2**32 + row
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    head = np.arange(len(z))
+    # Sorted keys 0 or 1 apart are one cell or column neighbours; next-column neighbours are 2^32 +- 1 ahead.
+    if np.all(np.diff(key) > 1) and not np.any(
+        np.abs(key.take(np.searchsorted(key, key + 2**32 - 1), mode="clip") - key - 2**32) <= 1
+    ):
+        return head  # no cell holds two points or borders another
+    starts = np.concatenate(([True], key[1:] != key[:-1]))
+    cell, cells = np.cumsum(starts) - 1, key[starts]
+    # The 3x3 cells around each cell as indices into ``cells``, absent ones as len(cells).
+    wanted = cells + (np.arange(-1, 2)[:, None] * 2**32 + np.arange(-1, 2)).reshape(-1, 1)
+    around = np.searchsorted(cells, wanted)
+    around[cells.take(around, mode="clip") != wanted] = len(cells)
+    live = head.copy()  # undecided points, as positions in ``order``
+    while live.size:
+        first = np.full(len(cells) + 1, len(z))  # each cell's earliest undecided point, then its head if any
+        lead = live[np.concatenate(([True], cell[live[1:]] != cell[live[:-1]]))]
+        first[cell[lead]] = order[lead]
+        first[:-1][first[around].min(axis=0) < first[:-1]] = len(z)
+        heads = first[around[:, cell[live]]]
+        k, j = np.nonzero(heads < len(z))
+        h, q = heads[k, j], order[live[j]]
+        near = np.abs(z[q] - z[h]) <= tol
+        head[q[near]] = h[near]
+        live = np.delete(live, j[near])
+    return head
 
 
 def _fold(xy, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -172,6 +168,8 @@ def _fold(xy, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Point m is ``R_{2*pi*idx[m]/N}`` applied to the slice point
     ``(radius[m], angle[m])``; the origin folds to index 0, angle 0.
     """
+    if not 1 <= N < 2**63:  # rotation indices are int64
+        raise InvalidGrid(f"N must be >= 1 and below 2**63, got {N}")
     xy = np.asarray(xy, dtype=float).reshape(-1, 2)
     if not np.all(np.isfinite(xy)):
         raise InvalidGrid("points must be finite")
@@ -205,8 +203,8 @@ def build_polar_grid(num_rays_per_slice: int, radii, N: int, kind: str = "spatia
     """
     if num_rays_per_slice < 1:
         raise InvalidGrid("num_rays_per_slice must be >= 1")
-    if N < 1:
-        raise InvalidGrid("N must be >= 1")
+    if not 1 <= N < 2**63:
+        raise InvalidGrid(f"N must be >= 1 and below 2**63, got {N}")
     radii = [float(r) for r in radii]
     if not radii:
         raise InvalidGrid("at least one radius required")
@@ -227,37 +225,38 @@ def build_polar_grid(num_rays_per_slice: int, radii, N: int, kind: str = "spatia
 def canonicalize(points, N: int, kind: str = "spatial") -> RotInvariantGrid:
     """Fold a full rotation-invariant point set into its slice representation.
 
-    Points within ``INVARIANCE_TOL`` of each other once folded form one
-    orbit.  The set is invariant under rotation by 2*pi/N exactly when every
-    orbit has N members at the N distinct rotation indices; otherwise
-    :class:`NotInvariant` is raised with the orbit's first point as the
-    witness.  Each orbit is represented by its member at rotation index 0,
-    in order of first appearance; the origin passes through as itself.
+    Once folded, each point joins the orbit of the earliest orbit head
+    within ``INVARIANCE_TOL`` of it, in index order, or heads one.  The set
+    is invariant under rotation by 2*pi/N exactly when every orbit has N
+    members at the N distinct rotation indices, else :class:`NotInvariant`
+    has the first failing orbit's head as witness.  Each orbit's member at
+    rotation index 0 stands for it, in order; the origin passes through.
     """
-    if N < 1:
-        raise InvalidGrid("N must be >= 1")
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     idx, radius, angle = _fold(pts, N)
     origin = radius <= DUPLICATE_TOL
     if kind == "frequency" and origin.any():
         raise TrivialStabilizer("frequency grids cannot contain the origin")
 
-    x, y = radius * np.cos(angle), radius * np.sin(angle)
-    free = ~origin
-    slice_points: list[SlicePoint] = []
-    for i in range(len(pts)):
-        if origin[i]:
-            slice_points.append(SlicePoint(0.0, 0.0))
-        elif free[i]:
-            orbit = free & (np.hypot(x - x[i], y - y[i]) <= INVARIANCE_TOL)
-            free &= ~orbit
-            # The size test comes first, so that an orbit short of a huge N allocates nothing.
-            if orbit.sum() != N or not np.array_equal(np.sort(idx[orbit]), np.arange(N)):
-                witness = tuple(pts[i].tolist())
-                raise NotInvariant(witness, f"orbit of {witness} has {orbit.sum()} of {N} points")
-            rep = np.flatnonzero(orbit & (idx == 0))[0]
-            slice_points.append(SlicePoint(float(radius[rep]), float(angle[rep])))
-    return RotInvariantGrid(N, tuple(slice_points), kind).validate()
+    # The orbits are the groups of the folded points; each origin point is an orbit of its own.
+    n = len(pts)
+    free = np.flatnonzero(~origin)
+    head = np.arange(n)
+    head[free] = free[_groups((radius * np.cos(angle) + 1j * (radius * np.sin(angle)))[free], INVARIANCE_TOL)]
+    # An orbit fails when its size is not N or two members share a rotation index; the first to fail is reported.
+    size = np.bincount(head, minlength=n)
+    failed = (size != N) & (head == np.arange(n)) & ~origin
+    if N <= n:  # else every orbit is short, and head * N might overflow
+        key = np.sort(head[free] * N + idx[free])
+        failed[key[1:][key[1:] == key[:-1]] // N] = True
+    if failed.any():
+        first = int(np.argmax(failed))
+        witness = tuple(pts[first].tolist())
+        raise NotInvariant(witness, f"orbit of {witness} has {size[first]} of {N} points")
+    rep = head.copy()  # each orbit's member at rotation index 0, and each origin point
+    rep[head[free[idx[free] == 0]]] = free[idx[free] == 0]
+    radius, angle = (np.where(origin, 0.0, a)[rep[head == np.arange(n)]].tolist() for a in (radius, angle))
+    return RotInvariantGrid(N, tuple(map(SlicePoint, radius, angle)), kind).validate()
 
 
 def grid_to_dict(grid: RotInvariantGrid) -> dict:

@@ -399,11 +399,19 @@ class TestClassicalBessel:
                     float(scipy.special.jv(n, x)), abs=1e-11
                 )
 
+    @pytest.mark.parametrize("n", [64, 4096, -4096])
+    @pytest.mark.parametrize("x", [1.0, 5.0, 100.0])
+    def test_high_orders_against_scipy(self, n, x):
+        # 2^m nodes dividing n alias J_n to J_0: J_4096(1) once came out as J_0(1) = 0.7652.
+        import scipy.special
+
+        assert classical_bessel(n, x) == pytest.approx(float(scipy.special.jv(n, x)), abs=1e-12)
+
     def test_domain_limit(self):
         # NaN once doubled the quadrature nodes to 2^25, about 1.5 GB, and returned NaN.
-        for x in (2e4, math.nan):
+        for n, x in ((0, 2e4), (0, math.nan), (20000, 1.0), (-20000, 1.0)):
             with pytest.raises(DomainError):
-                classical_bessel(0, x)
+                classical_bessel(n, x)
 
 
 class TestKernelLimit:

@@ -183,6 +183,30 @@ def test_bad_grid_exit_3(workdir, grid, command):
     assert len(lines) == 1 and lines[0].startswith("grid error:")
 
 
+@pytest.mark.parametrize("source", ["points-option", "points-file", "polar", "grid-file"])
+@pytest.mark.parametrize("N", [2**63, 10**400], ids=["2^63", "10^400"])
+def test_huge_N_exit_3(workdir, source, N):
+    # An N past int64 once ended in a traceback: an OverflowError from folding
+    # the points of grid --from-points, and past the float range from the
+    # slice width of grid --polar and of a grid file.
+    points = {"N": 4 if source == "points-option" else N, "points": [[1, 0], [0, 1], [-1, 0], [0, -1]]}
+    grid = {"N": N, "kind": "spatial", "points": [{"radius": 1.0, "angle": 0.0}]}
+    path = workdir / f"huge-N-{source}.json"
+    path.write_text(json.dumps(grid if source == "grid-file" else points))
+    out = str(workdir / "huge-N-out.json")
+    argv = {
+        "points-option": ["grid", "--from-points", str(path), "--N", str(N), "--out", out],
+        "points-file": ["grid", "--from-points", str(path), "--out", out],
+        "polar": ["grid", "--polar", "--rays", "1", "--radii", "1", "--N", str(N), "--out", out],
+        "grid-file": ["demo-image", str(workdir / "image.csv"), "--grid", str(path)],
+    }[source]
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        assert main(argv) == 3
+    lines = stderr.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("grid error:")
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
 @pytest.mark.parametrize("command", ["evaluate", "interpolate", "approximate"])
 def test_non_finite_payload_exit_5(workdir, valid, command, value):

@@ -21,7 +21,7 @@ from rotap import (
     slice_of,
 )
 
-from rotap.grids import DUPLICATE_TOL
+from rotap.grids import DUPLICATE_TOL, INVARIANCE_TOL, _fold, _groups
 
 from conftest import random_slice_grid
 
@@ -197,6 +197,48 @@ class TestCanonicalize:
                 canonicalize(rest, N, kind)
             assert exc.value.witness in {tuple(p) for p in rest[rest_labels == labels[cut]].tolist()}
 
+    def test_near_tolerance_clusters_match_reference(self):
+        # Each orbit member is moved by 0.25-1 x INVARIANCE_TOL, so the folded
+        # members lie up to 2 x INVARIANCE_TOL apart and the greedy orbits split
+        # differently with the order; some sets gain a stray point 0.5-2 x
+        # INVARIANCE_TOL from a member, or an origin.  The grid, or the
+        # exception with its witness and message, must be the reference's.
+        rng = np.random.default_rng(2026)
+        raised = 0
+        for _ in range(300):
+            N = int(rng.integers(1, 9))
+            full = random_slice_grid(rng, N, int(rng.integers(1, 6))).full_xy().reshape(-1, 2)
+            reach = rng.choice([0.5, 1.0], len(full)) * INVARIANCE_TOL  # half the orbits stay within tolerance
+            angle = rng.uniform(0, TWO_PI, len(full))
+            pts = full + (rng.uniform(0.25, 1, len(full)) * reach)[:, None] * np.stack([np.cos(angle), np.sin(angle)], 1)
+            if rng.random() < 0.3:
+                turn = rng.uniform(0, TWO_PI)
+                stray = pts[rng.integers(len(pts))] + rng.uniform(0.5, 2) * INVARIANCE_TOL * np.array([math.cos(turn), math.sin(turn)])
+                pts = np.vstack([pts, stray])
+            if rng.random() < 0.2:
+                pts = np.vstack([pts, [rng.choice([0.0, 5e-13]), 0.0]])  # the origin, or a point within DUPLICATE_TOL of it
+            pts = pts[rng.permutation(len(pts))]
+            outcomes = []
+            for fn in (canonicalize, _reference_canonicalize):
+                try:
+                    outcomes.append(fn(pts, N))
+                except (NotInvariant, InvalidGrid) as exc:
+                    outcomes.append((type(exc), str(exc), getattr(exc, "witness", None)))
+            assert outcomes[0] == outcomes[1]
+            raised += isinstance(outcomes[0], tuple)
+        assert 60 <= raised <= 240
+
+    def test_large_shuffled_set(self):
+        # A Python loop over orbit heads, with one mask over all points per orbit,
+        # took over 6 s on these 64000 points on a 2-core VM.
+        g = build_polar_grid(1, np.linspace(1, 33, 8000), 8)
+        pts = g.full_xy().reshape(-1, 2)
+        np.random.default_rng(3).shuffle(pts)
+        start = time.perf_counter()
+        got = canonicalize(pts, 8)
+        assert time.perf_counter() - start < 1.5
+        np.testing.assert_allclose(sorted(p.radius for p in got.points), np.linspace(1, 33, 8000), rtol=0, atol=1e-12)
+
     @given(n_jitter=st.integers(0, 3))
     @settings(max_examples=20, deadline=None)
     def test_full_expansion_identity(self, n_jitter):
@@ -207,6 +249,30 @@ class TestCanonicalize:
             sorted(((p.radius, p.angle) for p in g.points), key=_rounded),
             atol=1e-12,
         )
+
+
+def _reference_canonicalize(points, N, kind="spatial"):
+    """canonicalize by a greedy scan: each point in no orbit yet heads one and takes every such point within INVARIANCE_TOL."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    idx, radius, angle = _fold(pts, N)
+    origin = radius <= DUPLICATE_TOL
+    if kind == "frequency" and origin.any():
+        raise TrivialStabilizer("frequency grids cannot contain the origin")
+    z = radius * np.cos(angle) + 1j * (radius * np.sin(angle))
+    free = ~origin
+    slice_points = []
+    for i in range(len(pts)):
+        if origin[i]:
+            slice_points.append(SlicePoint(0.0, 0.0))
+        elif free[i]:
+            orbit = free & (np.abs(z - z[i]) <= INVARIANCE_TOL)
+            free &= ~orbit
+            if orbit.sum() != N or not np.array_equal(np.sort(idx[orbit]), np.arange(N)):
+                witness = tuple(pts[i].tolist())
+                raise NotInvariant(witness, f"orbit of {witness} has {orbit.sum()} of {N} points")
+            rep = np.flatnonzero(orbit & (idx == 0))[0]
+            slice_points.append(SlicePoint(float(radius[rep]), float(angle[rep])))
+    return RotInvariantGrid(N, tuple(slice_points), kind).validate()
 
 
 def _reference_duplicate(grid):
@@ -282,6 +348,53 @@ class TestValidation:
         _assert_duplicate(RotInvariantGrid(N, tuple(pts)), copied, count - 1)
         assert time.perf_counter() - start < 2.0
 
+    def test_ray_at_one_radian(self):
+        # A sweep along the direction at 1 radian was quadratic on this ray, whose
+        # quarter-turned copies all share their projection: on a 2-core VM it took
+        # 0.5 s, about 80 times as long as at 0.9 rad.
+        radii = np.random.default_rng(5).uniform(0.5, 3, 8000)
+        seconds = {}
+        for angle in (1.0, 0.9):
+            grid = RotInvariantGrid(4, tuple(SlicePoint(float(r), angle) for r in radii))
+            times = []
+            for _ in range(3):
+                start = time.perf_counter()
+                grid.validate()
+                times.append(time.perf_counter() - start)
+            seconds[angle] = min(times)
+        assert seconds[1.0] <= 3 * seconds[0.9]
+
+    @pytest.mark.parametrize("scale", [1e8, 1e300])
+    def test_duplicates_at_large_radii_match_reference_scan(self, scale):
+        # The lattice's cells widen with the largest coordinate, so that the
+        # integer cell keys of radii near 1e300 stay within int64.  Only exact
+        # copies lie within DUPLICATE_TOL there; a copy one ulp out must pass.
+        rng = np.random.default_rng(31)
+        raised = 0
+        for _ in range(40):
+            N = int(rng.integers(1, 13))
+            pts = list(random_slice_grid(rng, N, int(rng.integers(1, 30)), r_lo=scale, r_hi=3 * scale).points)
+            k = int(rng.integers(len(pts)))
+            radius = pts[k].radius if rng.random() < 0.5 else math.nextafter(pts[k].radius, math.inf)
+            pts.insert(int(rng.integers(len(pts) + 1)), SlicePoint(radius, pts[k].angle))
+            grid = RotInvariantGrid(N, tuple(pts))
+            expected = _reference_duplicate(grid)
+            if expected is None:
+                assert grid.validate() is grid
+            else:
+                raised += 1
+                with pytest.raises(InvalidGrid) as exc:
+                    grid.validate()
+                assert str(exc.value) == expected
+        assert 10 <= raised < 40
+
+    def test_nearest_copy_is_named(self):
+        # Slice point 0 has copies 5e-13 and 1e-13 away; then two exact copies, the earlier named.
+        near = (SlicePoint(1.0, 0.1), SlicePoint(1.0 + 5e-13, 0.1), SlicePoint(1.0 + 1e-13, 0.1))
+        _assert_duplicate(RotInvariantGrid(1, near), 0, 2)
+        _assert_duplicate(RotInvariantGrid(1, near + (near[0], near[0])), 0, 3)
+        assert _reference_duplicate(RotInvariantGrid(1, near)).endswith("slice point 2")
+
     def test_near_miss_passes(self):
         pts = (SlicePoint(1.0, 0.1), SlicePoint(1.0 + 2e-12, 0.1))
         assert RotInvariantGrid(4, pts).validate()
@@ -338,6 +451,33 @@ class TestValidation:
     def test_frequency_origin_rejected(self):
         with pytest.raises(TrivialStabilizer):
             RotInvariantGrid(4, (SlicePoint(0.0, 0.0),), "frequency").validate()
+
+
+class TestGroups:
+    def test_clouds_match_greedy_scan(self):
+        # Clouds of up to 40 points 0-4 x tol across, exact copies among them,
+        # at radii where the lattice cells are 4 x tol wide and where they
+        # widen with the largest coordinate.
+        tol = INVARIANCE_TOL
+        rng = np.random.default_rng(11)
+        for _ in range(500):
+            size = int(rng.integers(1, 40))
+            z = (rng.uniform(-1, 1, size) + 1j * rng.uniform(-1, 1, size)) * tol * rng.uniform(0.5, 4)
+            z = rng.choice([1.0, 1e5]) * np.exp(1j * rng.uniform(0, TWO_PI)) + z[rng.integers(size, size=size)]
+            expected = np.full(size, -1)
+            for i in range(size):
+                if expected[i] < 0:
+                    expected[(expected < 0) & (np.abs(z - z[i]) <= tol)] = i
+            assert np.array_equal(_groups(z, tol), expected)
+
+    @pytest.mark.parametrize("pair", [(0.95 + 0.95j, 1.05 + 1.05j), (0.95 + 1.05j, 1.05 + 0.95j)], ids=["up", "down"])
+    def test_diagonal_cells(self, pair):
+        # Cells 1 wide at tol 0.25: the two points lie 0.14 apart in diagonally adjacent cells, a third far off.
+        assert np.array_equal(_groups(np.array(pair + (5 + 5j,)), 0.25), [0, 0, 2])
+
+    def test_tolerance_is_inclusive(self):
+        # 2^-30 apart exactly: the second point joins the first, the third does not.
+        assert np.array_equal(_groups(1.0 + np.array([0, 1, 2]) * 2.0**-30 + 0j, 2.0**-30), [0, 0, 2])
 
 
 class TestPersistence:
