@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
+import json
+import math
 import os
 import sys
 
@@ -27,7 +30,7 @@ from .group_reps import (
     check_unitary,
     commutant_dimension,
 )
-from .harness import bench_evaluate, bench_solve_scaling, optimal_N
+from .harness import bench_evaluate, bench_solve_scaling, machine, optimal_N
 from .image import bilinear_sample, load_csv_matrix, load_image
 from .transform import (
     SampleArray,
@@ -142,6 +145,8 @@ def cmd_demo_image(args) -> int:
         raise DomainError("--scale and --shift must be finite")
     img = load_image(args.image)
     E = load_grid(args.grid)
+    if not math.isfinite(args.scale * max(p.radius for p in E.points)):
+        raise DomainError(f"--scale {args.scale} times the largest grid radius overflows")
     F = _frequency_twin(E)
     sampled = bilinear_sample(img, E.full_xy() * args.scale)
     samples = SampleArray(sampled.astype(complex), E)
@@ -188,17 +193,15 @@ def cmd_bench(args) -> int:
     if args.optimal_N is not None:
         print(optimal_N(args.optimal_N))
         return 0
-    report = bench_evaluate(args.N, args.Q, repetitions=args.repetitions)
-    if args.out:
-        report.write_csv(args.out)
-    for row in (report.CSV_COLUMNS, *(r.row() for r in report.records)):
-        print("\t".join(row))
+    records = bench_evaluate(args.N, args.Q, repetitions=args.repetitions).records
+    report = {**machine(), "records": [dataclasses.asdict(r) for r in records]}
     if len(args.Q) > 1:
-        for N in args.N:
-            times = bench_solve_scaling(N, args.Q, repetitions=50)
-            qs = sorted(times)
-            for a, b in zip(qs, qs[1:]):
-                print(f"N={N} per-bin solve {a}->{b}: x{times[b] / times[a]:.2f}")
+        report["per_bin_solve"] = {N: bench_solve_scaling(N, args.Q, repetitions=50) for N in args.N}
+    text = json.dumps(report, indent=2)
+    if args.out:
+        with open(args.out, "w") as fh:
+            print(text, file=fh)
+    print(text)
     return 0
 
 
@@ -206,6 +209,8 @@ def cmd_verify_rep(args) -> int:
     N = args.N
     if N < 1:
         raise DomainError(f"--N must be >= 1, got {N}")
+    if N * N * np.dtype(complex).itemsize > sys.maxsize:
+        raise DomainError(f"--N {N}: an N x N representation matrix cannot be addressed")
     if args.seeds < 1:
         raise DomainError(f"--seeds must be >= 1, got {args.seeds}")
     if args.seed < 0:
@@ -288,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--Q", type=int, nargs="+", default=[16])
     p.add_argument("--repetitions", type=int, default=3)
     p.add_argument("--optimal-N", type=int, dest="optimal_N", metavar="GRID_SIZE")
-    p.add_argument("--out", help="CSV report path")
+    p.add_argument("--out", help="JSON report path")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("verify-rep", help="run the representation property checks")

@@ -2,16 +2,17 @@
 
 Fast-stage timings are wall-clock medians from one loop, ``_median_times``;
 the dense oracle is timed by the one call whose result validates the fast
-path.  One row format, ``BenchRecord.row``, serves the CSV report and
-``rotap bench``.  The claimed costs are treated as scaling trends, not exact
-FLOP targets.
+path.  ``rotap bench`` reports the records as JSON, beside ``machine()``.
+The claimed costs are treated as scaling trends, not exact FLOP targets.
 """
 
 from __future__ import annotations
 
-import csv
+import ctypes
 import functools
 import math
+import os
+import sys
 import time
 from dataclasses import dataclass, field
 
@@ -36,32 +37,10 @@ class BenchRecord:
     conditions: tuple[float, ...]
     oracle_rel_error: float
 
-    def row(self) -> list[str]:
-        """The record's fields as strings, in ``BenchReport.CSV_COLUMNS`` order."""
-        times = (self.t_naive, self.t_assemble, self.t_fast, self.t_prefactorize, self.t_solve)
-        errors = (self.oracle_rel_error, min(self.conditions), max(self.conditions))
-        return [
-            *map(str, (self.N, self.P, self.Q)),
-            *(f"{t:.6e}" for t in times),
-            *(f"{e:.3e}" for e in errors),
-            f"{self.t_naive / (self.t_assemble + self.t_fast):.1f}",
-        ]
-
 
 @dataclass
 class BenchReport:
     records: list[BenchRecord] = field(default_factory=list)
-
-    CSV_COLUMNS = (
-        "N", "P", "Q", "t_naive", "t_assemble", "t_fast", "t_prefactorize", "t_solve",
-        "oracle_rel_error", "cond_min", "cond_max", "speedup_with_assembly",
-    )
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(self.CSV_COLUMNS)
-            w.writerows(r.row() for r in self.records)
 
 
 # Untimed calls of each fast stage before it is timed.  At N=64, Q=128 on a
@@ -95,6 +74,9 @@ def square_bench_grids(N: int, Q: int):
     well-conditioned when the products xi*rho spread over a range
     proportional to the number of radial points being resolved.
     """
+    Q = max(Q, 0)  # a Q below 1 gives no radius, which build_polar_grid refuses
+    if Q * Q * np.dtype(complex).itemsize > sys.maxsize:
+        raise DomainError(f"Q = {Q}: a Q x Q block of complex entries cannot be addressed")
     radii = np.linspace(1.0, 1.0 + max(2.0, Q / 2), Q)
     E = build_polar_grid(1, radii, N, kind="spatial")
     F = build_polar_grid(1, radii, N, kind="frequency")
@@ -158,6 +140,18 @@ def bench_solve_scaling(N: int, Q_list, repetitions: int = 200, seed: int = 0) -
         rhs = rng.standard_normal((N, Q)) + 1j * rng.standard_normal((N, Q))
         solves[Q] = functools.partial(np.matmul, layout.stack, layout.columns(rhs))
     return {Q: t / N for Q, t in _median_times(solves, repetitions).items()}
+
+
+def machine() -> dict:
+    """The cores this process may run on and numpy's OpenBLAS thread count, None where that library is not found."""
+    nproc = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    try:
+        with open("/proc/self/maps") as fh:
+            path = next(line.split()[-1] for line in fh if "libscipy_openblas64_" in line)
+        threads = ctypes.CDLL(path).scipy_openblas_get_num_threads64_()
+    except (OSError, StopIteration, AttributeError):
+        threads = None
+    return {"nproc": nproc, "openblas_threads": threads}
 
 
 def optimal_N(grid_size: int) -> int:

@@ -1,4 +1,3 @@
-import csv
 import json
 import os
 import subprocess
@@ -19,7 +18,6 @@ from rotap import (
     save_coefficients,
     save_samples,
     ApCoefficients,
-    BenchReport,
     SampleArray,
 )
 from rotap.cli import main
@@ -371,24 +369,35 @@ class TestBenchCommand:
         assert rc == 2
         assert err.startswith("usage error:") and "Traceback" not in err
 
-    def test_small_bench_with_csv(self, tmp_path, capsys):
-        out = tmp_path / "report.csv"
-        rc = main(["bench", "--N", "4", "--Q", "6", "--repetitions", "3", "--out", str(out)])
+    @staticmethod
+    def bench_report(tmp_path, capsys, Q):
+        """The JSON report of ``rotap bench --N 4 --Q <Q...> --out``, after checking stdout equals the file."""
+        out = tmp_path / "bench.json"
+        rc = main(["bench", "--N", "4", "--Q", *map(str, Q), "--repetitions", "3", "--out", str(out)])
         assert rc == 0
-        text = capsys.readouterr().out
-        assert "t_naive\tt_assemble" in text
-        assert out.read_text().startswith("N,P,Q,")
+        assert capsys.readouterr().out.encode() == out.read_bytes()
+        return json.loads(out.read_text())
 
-    def test_several_Q_print_solve_doubling(self, tmp_path, capsys):
-        out = tmp_path / "report.csv"
-        rc = main(["bench", "--N", "4", "--Q", "6", "12", "--repetitions", "3", "--out", str(out)])
-        assert rc == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == "\t".join(BenchReport.CSV_COLUMNS)
-        assert sum(line.startswith("N=4 per-bin solve 6->12: x") for line in lines) == 1
-        with open(out, newline="") as fh:
-            rows = list(csv.reader(fh))
-        assert [line.split("\t") for line in lines[:3]] == rows
+    def test_small_bench_json(self, tmp_path, capsys):
+        report = self.bench_report(tmp_path, capsys, [6])
+        assert set(report) == {"nproc", "openblas_threads", "records"}
+        assert report["nproc"] >= 1
+        assert report["openblas_threads"] is None or report["openblas_threads"] >= 1
+        [record] = report["records"]
+        assert set(record) == {
+            "N", "P", "Q", "t_naive", "t_assemble", "t_fast", "t_prefactorize", "t_solve",
+            "conditions", "oracle_rel_error",
+        }
+        assert (record["N"], record["P"], record["Q"]) == (4, 6, 6)
+        assert len(record["conditions"]) == 4 and record["oracle_rel_error"] < 1e-10
+
+    def test_several_Q_report_per_bin_solve(self, tmp_path, capsys):
+        report = self.bench_report(tmp_path, capsys, [6, 12])
+        assert [r["Q"] for r in report["records"]] == [6, 12]
+        # JSON object keys are strings: {N: {Q: seconds}}.
+        solve = report["per_bin_solve"]
+        assert list(solve) == ["4"] and list(solve["4"]) == ["6", "12"]
+        assert all(t > 0 for t in solve["4"].values())
 
 
 class TestVerifyRepCommand:

@@ -10,6 +10,7 @@ exception escape.
 import contextlib
 import io
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -205,6 +206,37 @@ def test_huge_N_exit_3(workdir, source, N):
         assert main(argv) == 3
     lines = stderr.getvalue().splitlines()
     assert len(lines) == 1 and lines[0].startswith("grid error:")
+
+
+# Arguments that once ended in a numpy traceback or warning: a negative --Q
+# reached np.linspace, arrays past the address space were refused by numpy
+# alone, and a scale of 1e308 overflowed the sampled points to inf.
+BAD_ARGUMENTS = {
+    "bench-Q-negative": (["bench", "--Q", "-3"], 3, "grid error: at least one radius required"),
+    "bench-Q-2^62": (["bench", "--N", "2", "--Q", str(2**62)], 2, "usage error:"),
+    "verify-rep-N-2^62": (["verify-rep", "--N", str(2**62)], 2, "usage error:"),
+    "verify-rep-N-past-int64": (["verify-rep", "--N", "99999999999999999999"], 2, "usage error:"),
+    "demo-image-scale-1e308": (["demo-image", "image.csv", "--grid", "grid.json", "--scale", "1e308"], 2, "usage error:"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_ARGUMENTS))
+def test_bad_argument_refused_before_allocating(workdir, case):
+    # One stderr line with the documented code, and under 1 MB allocated on
+    # the way: the refusal comes before any array of the requested size.
+    argv, code, start = BAD_ARGUMENTS[case]
+    argv = [str(workdir / a) if a.endswith((".csv", ".json")) else a for a in argv]
+    stderr = io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            assert main(argv) == code
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    lines = stderr.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(start)
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])

@@ -1,11 +1,11 @@
 import collections
-import csv
+import dataclasses
+import json
 import time
 
 import pytest
 
 from rotap import (
-    BenchReport,
     assemble_blocks,
     bench_evaluate,
     bench_solve_scaling,
@@ -32,20 +32,19 @@ class TestOptimalN:
 
 
 class TestBenchEvaluate:
-    def test_small_run_validates_oracle(self, tmp_path):
+    def test_small_run_validates_oracle(self):
         report = bench_evaluate([4], [6], repetitions=3, seed=1)
         assert len(report.records) == 1
         rec = report.records[0]
         assert rec.oracle_rel_error < 1e-10
         assert rec.t_naive > 0 and rec.t_fast > 0 and rec.t_assemble > 0
         assert rec.t_prefactorize > 0 and rec.t_solve > 0
-        path = tmp_path / "bench.csv"
-        report.write_csv(path)
-        with open(path) as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == list(BenchReport.CSV_COLUMNS)
-        assert len(rows) == 2
-        assert rows[1][0] == "4"
+        # The record goes into the JSON report whole: every field, every
+        # per-bin condition, each number at full precision.
+        fields = dataclasses.asdict(rec)
+        assert json.loads(json.dumps(fields)) == {**fields, "conditions": list(rec.conditions)}
+        assert (fields["N"], fields["P"], fields["Q"]) == (4, 6, 6)
+        assert len(fields["conditions"]) == 4
 
     def test_fast_stages_warm_up_untimed(self, monkeypatch):
         # Every stage but the dense oracle runs the same number of untimed
