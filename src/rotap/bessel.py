@@ -33,14 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, GridMismatch
-from .grids import RotInvariantGrid, SlicePoint, TWO_PI
-
-
-def _polar(p) -> tuple[float, float]:
-    if isinstance(p, SlicePoint):
-        return p.radius, p.angle
-    r, a = p
-    return float(r), float(a)
+from .grids import RotInvariantGrid, TWO_PI
 
 
 # Entries of the slice kernel built per chunk of block rows: large enough to
@@ -287,16 +280,16 @@ def _check_products(rho: float, xi: float) -> None:
 def generalized_bessel(n_hat: int, lam, y, N: int) -> complex:
     """The generalized Bessel kernel J_{n_hat}(lam, y) on the N-rotation group.
 
-    ``lam`` and ``y`` are :class:`SlicePoint` or plain ``(radius, angle)``
-    pairs; passing raw pairs bypasses any slice-range expectations (the
-    formula is well defined for every angle).
+    ``lam`` and ``y`` are ``(radius, angle)`` pairs, a :class:`SlicePoint`
+    being one; the angles need not lie in a slice, since the formula is well
+    defined for every angle.
     """
     if N < 1:
         raise DomainError("N must be >= 1")
     if not 0 <= n_hat < N:
         raise DomainError(f"n_hat must lie in [0, {N}), got {n_hat}")
-    xi, omega = _polar(lam)
-    rho, alpha = _polar(y)
+    xi, omega = map(float, lam)
+    rho, alpha = map(float, y)
     _check_products(rho, xi)
     return complex(_kernel_bins(np.float64(xi * rho), np.float64(alpha - omega), N)[n_hat])
 

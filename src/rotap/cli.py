@@ -262,26 +262,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check-oracle", action="store_true")
     p.set_defaults(func=cmd_evaluate)
 
+    weights = argparse.ArgumentParser(add_help=False)  # the options _load_weights reads
+    weights.add_argument("--weights", help='"zero" or a CSV matrix path')
+    weights.add_argument("--weights-scheme", choices=("paper",))
+    weights.add_argument("--alpha", type=float)
+
     solvers = (("interpolate", "interpolation", interpolate, None), ("approximate", "approximation", approximate, _load_weights))
     for name, mode, solve, load_weights in solvers:
-        p = sub.add_parser(name, help=f"{name} samples into coefficients")
+        p = sub.add_parser(name, help=f"{name} samples into coefficients", parents=[weights] if load_weights else [])
         p.add_argument("samples")
         p.add_argument("--frequency-grid")
         p.add_argument("--out", required=True)
         p.add_argument("--check-oracle", action="store_true")
         p.set_defaults(func=functools.partial(_solve_command, mode=mode, solve=solve, load_weights=load_weights))
-        if name == "approximate":
-            p.add_argument("--weights", help='"zero" or a CSV matrix path')
-            p.add_argument("--weights-scheme", choices=("paper",))
-            p.add_argument("--alpha", type=float)
 
-    p = sub.add_parser("demo-image", help="image round-trip norm table")
+    p = sub.add_parser("demo-image", help="image round-trip norm table", parents=[weights])
     p.add_argument("image")
     p.add_argument("--grid", required=True)
     p.add_argument("--scale", type=float, default=1.0, help="grid-to-pixel scale factor")
-    p.add_argument("--weights")
-    p.add_argument("--weights-scheme", choices=("paper",))
-    p.add_argument("--alpha", type=float)
     p.add_argument("--rot-steps", type=int)
     p.add_argument("--shift", type=float, nargs=2, default=(15.0, 26.0))
     p.add_argument("--out", help="CSV path for the norm table")

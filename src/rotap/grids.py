@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import InvalidGrid, NotInvariant, ParseError, TrivialStabilizer
+from .errors import DomainError, InvalidGrid, NotInvariant, ParseError, TrivialStabilizer
 
 TWO_PI = 2.0 * math.pi
 
@@ -26,9 +28,8 @@ INVARIANCE_TOL = 1e-9
 DUPLICATE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class SlicePoint:
-    """A point of the fundamental slice, in polar coordinates."""
+class SlicePoint(NamedTuple):
+    """A point of the fundamental slice, in polar coordinates: the pair (radius, angle)."""
 
     radius: float
     angle: float
@@ -199,7 +200,8 @@ def slice_of(point, N: int) -> tuple[int, SlicePoint]:
 def build_polar_grid(num_rays_per_slice: int, radii, N: int, kind: str = "spatial") -> RotInvariantGrid:
     """Polar grid: ``num_rays_per_slice`` equispaced rays per slice crossed with ``radii``.
 
-    The full point set is { rho_j * e^{i 2*pi*k / (N*num_rays_per_slice)} }.
+    The full point set is { rho_j * e^{i 2*pi*k / (N*num_rays_per_slice)} }; one
+    with more bytes than the platform can address raises DomainError.
     """
     if num_rays_per_slice < 1:
         raise InvalidGrid("num_rays_per_slice must be >= 1")
@@ -213,6 +215,8 @@ def build_polar_grid(num_rays_per_slice: int, radii, N: int, kind: str = "spatia
             raise InvalidGrid(f"nonpositive radius {r}")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise InvalidGrid("radii must be strictly increasing")
+    if N * num_rays_per_slice * len(radii) * 16 > sys.maxsize:  # the (x, y) float pairs of full_xy
+        raise DomainError(f"N = {N} x {num_rays_per_slice} rays x {len(radii)} radii: the full point set cannot be addressed")
     width = TWO_PI / N
     pts = [
         SlicePoint(rho, t * width / num_rays_per_slice)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import generalized_bessel
+from .bessel import _check_products, _kernel_bins
 from .errors import InsufficientSample, TrivialStabilizer
 from .grids import TWO_PI, SlicePoint
 
@@ -142,11 +142,14 @@ def matrix_coefficient_check(lam, y: SlicePoint, N: int) -> float:
     to character n_hat against character m_hat under the counting-measure
     inner product.  The closed form is
     e^{-2*pi*i*n_hat*k/N} e^{2*pi*i*(n_hat-m_hat)*h/N} J_{(n_hat-m_hat) mod N}(lam, y),
-    with the N kernel bins J from :func:`generalized_bessel`, which raises
-    :class:`DomainError` if |lam| * y.radius is not finite.
+    with the N kernel bins J that :func:`~rotap.bessel.generalized_bessel` gives, all from one
+    ``_kernel_bins`` call; :class:`DomainError` if |lam| * y.radius is not finite.
     """
-    lam_polar = (math.hypot(lam[0], lam[1]), math.atan2(lam[1], lam[0]))
-    J = np.array([generalized_bessel(n_hat, lam_polar, y, N) for n_hat in range(N)])
+    if N < 1:  # no bins and no entries to compare
+        return 0.0
+    xi, omega = math.hypot(lam[0], lam[1]), math.atan2(lam[1], lam[0])
+    _check_products(y.radius, xi)
+    J = _kernel_bins(np.float64(xi * y.radius), np.float64(y.angle - omega), N)
     lam = np.asarray(lam, dtype=float)
     ell = np.arange(N)
     C = np.exp(2j * np.pi * np.outer(ell, ell) / N)

@@ -29,6 +29,15 @@ from .errors import DomainError, GridMismatch, ParseError, TrivialStabilizer, We
 from .grids import RotInvariantGrid, grid_from_dict, grid_to_dict, load_grid
 
 
+def _on_grid(values, grid: RotInvariantGrid, name: str) -> np.ndarray:
+    """``values`` as the complex (N, P) array of ``grid``'s full points, else GridMismatch on the ``name`` shape."""
+    v = np.asarray(values, dtype=complex)
+    expected = (grid.N, len(grid.points))
+    if v.shape != expected:
+        raise GridMismatch(f"{name} shape {v.shape} does not match grid shape {expected}")
+    return v
+
+
 @dataclass(frozen=True)
 class ApCoefficients:
     """Frequency coefficients of an almost-periodic function."""
@@ -37,11 +46,7 @@ class ApCoefficients:
     frequency_grid: RotInvariantGrid
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
-        expected = (self.frequency_grid.N, len(self.frequency_grid.points))
-        if v.shape != expected:
-            raise GridMismatch(f"coefficient shape {v.shape} does not match grid shape {expected}")
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _on_grid(self.values, self.frequency_grid, "coefficient"))
 
 
 @dataclass(frozen=True)
@@ -52,11 +57,7 @@ class SampleArray:
     spatial_grid: RotInvariantGrid
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
-        expected = (self.spatial_grid.N, len(self.spatial_grid.points))
-        if v.shape != expected:
-            raise GridMismatch(f"sample shape {v.shape} does not match grid shape {expected}")
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", _on_grid(self.values, self.spatial_grid, "sample"))
 
 
 # The largest weight whose square is finite.

@@ -50,6 +50,14 @@ class TestGeneralizedBessel:
         val = generalized_bessel(1, (1.0, 0.0), (1.0, 0.0), 4)
         assert val == pytest.approx(2j * math.sin(1.0), abs=1e-15)
 
+    @pytest.mark.parametrize("N", [1, 5, 8])
+    def test_slice_point_reads_as_its_pair(self, N):
+        lam, y = SlicePoint(1.7, 0.2), SlicePoint(0.8, 0.3)
+        for n_hat in range(N):
+            a = generalized_bessel(n_hat, lam, y, N)
+            b = generalized_bessel(n_hat, (1.7, 0.2), (0.8, 0.3), N)
+            assert np.array(a).tobytes() == np.array(b).tobytes()
+
     def test_bad_arguments(self):
         with pytest.raises(DomainError):
             generalized_bessel(4, (1.0, 0.0), (1.0, 0.0), 4)

@@ -210,8 +210,11 @@ def test_huge_N_exit_3(workdir, source, N):
 
 # Arguments that once ended in a numpy traceback or warning: a negative --Q
 # reached np.linspace, arrays past the address space were refused by numpy
-# alone, and a scale of 1e308 overflowed the sampled points to inf.
+# alone, and a scale of 1e308 overflowed the sampled points to inf.  A polar
+# grid past the address space once built slice points until it was killed.
 BAD_ARGUMENTS = {
+    "grid-rays-10^20": (["grid", "--polar", "--rays", str(10**20), "--radii", "1", "--N", "4"], 2, "usage error:"),
+    "grid-rays-2^62": (["grid", "--polar", "--rays", str(2**62), "--radii", "1", "--N", "2"], 2, "usage error:"),
     "bench-Q-negative": (["bench", "--Q", "-3"], 3, "grid error: at least one radius required"),
     "bench-Q-2^62": (["bench", "--N", "2", "--Q", str(2**62)], 2, "usage error:"),
     "verify-rep-N-2^62": (["verify-rep", "--N", str(2**62)], 2, "usage error:"),

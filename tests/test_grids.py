@@ -72,6 +72,17 @@ class TestSliceOf:
         assert abs(sp.angle - angle) < 1e-10
 
 
+def test_slice_point_is_its_pair():
+    # A slice point is the tuple (radius, angle), so that grids compare and
+    # hash their points as tuples, and the kernel reads either form alike.
+    p = SlicePoint(1.0, 0.5)
+    assert p == (1.0, 0.5) and hash(p) == hash((1.0, 0.5))
+    assert repr(p) == "SlicePoint(radius=1.0, angle=0.5)"
+    assert p.xy() == (math.cos(0.5), math.sin(0.5))
+    with pytest.raises(AttributeError):
+        p.radius = 2.0
+
+
 class TestBuildPolarGrid:
     def test_single_orbit_square(self):
         g = build_polar_grid(1, [1.0], 4)

@@ -204,6 +204,9 @@ class TestMatrixCoefficient:
         y = SlicePoint(rho, alpha)
         assert matrix_coefficient_check(lam, y, 6) < 1e-9
 
+    def test_no_rotation_has_nothing_to_check(self):
+        assert matrix_coefficient_check((1.2, 0.5), SlicePoint(0.8, 0.3), 0) == 0.0
+
     @pytest.mark.parametrize("lam, radius", [((1e300, 0.0), 1e10), ((math.nan, 1.0), 1.0)], ids=["overflow", "nan"])
     def test_non_finite_product_raises(self, lam, radius):
         # An all-NaN kernel once read as error 0.0, since max(0.0, nan) is 0.0.
