@@ -2,11 +2,11 @@
 
 
 class RotapError(Exception):
-    """Base class for all library errors; each subclass sets the CLI's ``exit_code`` and stderr ``label``."""
+    """Base class for all library errors; one subclass per CLI exit code sets ``exit_code`` and stderr ``label``."""
 
 
 class GridError(RotapError):
-    """Base class for grid construction/validation failures."""
+    """A grid that breaks its invariants, or data combined with a grid it does not fit."""
     exit_code, label = 3, "grid error"
 
 
@@ -34,13 +34,12 @@ class ParseError(RotapError):
     exit_code, label = 5, "I/O error"
 
 
-class GridMismatch(RotapError):
+class GridMismatch(GridError):
     """Two objects built over incompatible grids were combined."""
-    exit_code, label = 3, "grid error"
 
 
 class DomainError(RotapError, ValueError):
-    """An argument fell outside the supported numeric range."""
+    """An argument outside the supported range: a value out of bounds, a grid or array too large, a poor sample."""
     exit_code, label = 2, "usage error"
 
 
@@ -60,6 +59,5 @@ class WellPosednessError(RotapError):
         super().__init__(msg)
 
 
-class InsufficientSample(RotapError):
+class InsufficientSample(DomainError):
     """The group-element sample cannot certify the commutant dimension."""
-    exit_code, label = 2, "usage error"

@@ -42,11 +42,11 @@ class SlicePoint(NamedTuple):
 class RotInvariantGrid:
     """A rotation-invariant grid, represented by its slice points.
 
-    ``kind`` is "spatial" or "frequency"; frequency grids must not contain
-    the origin (all radii strictly positive).  Instances are immutable and
-    safe to share across threads.  Construction through the module functions
-    (or :meth:`validate`) enforces the invariants; the raw constructor does
-    not, which the test suite uses to build deliberately broken grids.
+    ``kind`` is "spatial" or "frequency"; frequency grids must not contain the origin (all
+    radii strictly positive).  Instances are immutable and safe to share across threads, and
+    hold each point as a :class:`SlicePoint`, however given.  Construction through the module
+    functions (or :meth:`validate`) enforces the invariants; the raw constructor does not,
+    which the test suite uses to build deliberately broken grids.
     """
 
     N: int
@@ -54,7 +54,7 @@ class RotInvariantGrid:
     kind: str = "spatial"
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
+        object.__setattr__(self, "points", tuple([p if type(p) is SlicePoint else SlicePoint._make(p) for p in self.points]))
 
     def validate(self) -> "RotInvariantGrid":
         if type(self.N) is not int or not 1 <= self.N < 2**63:
@@ -93,6 +93,7 @@ class RotInvariantGrid:
             k = later[np.argmin(np.abs(others[later] - z[i]))]
             j = k if k < len(z) else moved[k - len(z)]
             raise InvalidGrid(f"slice point {i} duplicates a full-grid copy of slice point {j}")
+        _check_addressable(self.N, len(self.points))
         return self
 
     def slice_xy(self) -> np.ndarray:
@@ -163,6 +164,12 @@ def _groups(z: np.ndarray, tol: float) -> np.ndarray:
     return head
 
 
+def _check_addressable(N: int, P: int) -> None:
+    """DomainError when the N x P (x, y) float pairs of ``full_xy`` would have more bytes than ``sys.maxsize``."""
+    if N * P * 16 > sys.maxsize:
+        raise DomainError(f"N = {N} x {P} slice points: the full point set cannot be addressed")
+
+
 def _fold(xy, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rotation indices, radii and slice angles of the planar points ``xy``.
 
@@ -200,8 +207,8 @@ def slice_of(point, N: int) -> tuple[int, SlicePoint]:
 def build_polar_grid(num_rays_per_slice: int, radii, N: int, kind: str = "spatial") -> RotInvariantGrid:
     """Polar grid: ``num_rays_per_slice`` equispaced rays per slice crossed with ``radii``.
 
-    The full point set is { rho_j * e^{i 2*pi*k / (N*num_rays_per_slice)} }; one
-    with more bytes than the platform can address raises DomainError.
+    The full point set is { rho_j * e^{i 2*pi*k / (N*num_rays_per_slice)} }; one with
+    more bytes than the platform can address raises DomainError before any point is built.
     """
     if num_rays_per_slice < 1:
         raise InvalidGrid("num_rays_per_slice must be >= 1")
@@ -215,8 +222,7 @@ def build_polar_grid(num_rays_per_slice: int, radii, N: int, kind: str = "spatia
             raise InvalidGrid(f"nonpositive radius {r}")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise InvalidGrid("radii must be strictly increasing")
-    if N * num_rays_per_slice * len(radii) * 16 > sys.maxsize:  # the (x, y) float pairs of full_xy
-        raise DomainError(f"N = {N} x {num_rays_per_slice} rays x {len(radii)} radii: the full point set cannot be addressed")
+    _check_addressable(N, num_rays_per_slice * len(radii))
     width = TWO_PI / N
     pts = [
         SlicePoint(rho, t * width / num_rays_per_slice)

@@ -133,30 +133,31 @@ def commutant_dimension(lam, sample, N: int) -> int:
     return int(np.sum(s < _COMMUTANT_RTOL * s.max()))
 
 
-def matrix_coefficient_check(lam, y: SlicePoint, N: int) -> float:
+def matrix_coefficient_check(lam, y, N: int) -> float:
     """Largest error of the closed-form matrix coefficients against the direct computation.
 
-    Over every rotation k and h, the group element is g = (k, R_{2*pi*h/N} y).
+    Over every rotation k and h, the group element is g = (k, R_{2*pi*h/N} y), y a (radius, angle) pair.
     The direct side is C* T(g) C, where column n_hat of C is the unnormalized
     character e^{2*pi*i*n_hat*ell/N}: entry (m_hat, n_hat) pairs T(g) applied
     to character n_hat against character m_hat under the counting-measure
     inner product.  The closed form is
     e^{-2*pi*i*n_hat*k/N} e^{2*pi*i*(n_hat-m_hat)*h/N} J_{(n_hat-m_hat) mod N}(lam, y),
     with the N kernel bins J that :func:`~rotap.bessel.generalized_bessel` gives, all from one
-    ``_kernel_bins`` call; :class:`DomainError` if |lam| * y.radius is not finite.
+    ``_kernel_bins`` call; :class:`DomainError` if |lam| * radius is not finite.
     """
     if N < 1:  # no bins and no entries to compare
         return 0.0
     xi, omega = math.hypot(lam[0], lam[1]), math.atan2(lam[1], lam[0])
-    _check_products(y.radius, xi)
-    J = _kernel_bins(np.float64(xi * y.radius), np.float64(y.angle - omega), N)
+    rho, alpha = map(float, y)
+    _check_products(rho, xi)
+    J = _kernel_bins(np.float64(xi * rho), np.float64(alpha - omega), N)
     lam = np.asarray(lam, dtype=float)
     ell = np.arange(N)
     C = np.exp(2j * np.pi * np.outer(ell, ell) / N)
     diff = ell[None, :] - ell[:, None]  # n_hat - m_hat; rows are m_hat
     worst = 0.0
     for h in range(N):
-        x = rotation_matrix(TWO_PI * h / N) @ np.asarray(y.xy())
+        x = rotation_matrix(TWO_PI * h / N) @ np.asarray(SlicePoint(rho, alpha).xy())
         for k in range(N):
             direct = C.conj().T @ rep_matrix(lam, GroupElement(k, (x[0], x[1])), N) @ C
             formula = np.exp(-2j * np.pi * ell * k / N) * np.exp(2j * np.pi * diff * h / N) * J[diff % N]

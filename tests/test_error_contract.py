@@ -59,6 +59,10 @@ def test_exit_code_table():
     # The base class is never raised and sets no code of its own.
     assert exported - set(expected) == {errors.RotapError}
     assert {cls: (cls.exit_code, cls.label) for cls in expected} == expected
+    # Each pair is declared by one class alone, which its subclasses inherit.
+    declared = [(vars(cls).get("exit_code"), vars(cls).get("label")) for cls in exported
+                if {"exit_code", "label"} & vars(cls).keys()]
+    assert sorted(declared) == sorted(set(expected.values()))
 
 
 @st.composite
@@ -119,6 +123,7 @@ def workdir(tmp_path_factory, valid):
     d = tmp_path_factory.mktemp("fuzz")
     for name, data in valid.items():
         (d / name).write_bytes(data)
+    (d / "unaddressable-grid.json").write_text(json.dumps(UNADDRESSABLE_GRID))
     return d
 
 
@@ -208,10 +213,15 @@ def test_huge_N_exit_3(workdir, source, N):
     assert len(lines) == 1 and lines[0].startswith("grid error:")
 
 
+# A grid file whose full point set has more bytes than sys.maxsize; radius
+# 1e10, so its turned copy is no duplicate.
+UNADDRESSABLE_GRID = {"N": 2**62, "kind": "spatial", "points": [{"radius": 1e10, "angle": 0.0}]}
+
 # Arguments that once ended in a numpy traceback or warning: a negative --Q
 # reached np.linspace, arrays past the address space were refused by numpy
 # alone, and a scale of 1e308 overflowed the sampled points to inf.  A polar
-# grid past the address space once built slice points until it was killed.
+# grid past the address space once built slice points until it was killed,
+# and a grid file past it reached full_xy, which numpy refused.
 BAD_ARGUMENTS = {
     "grid-rays-10^20": (["grid", "--polar", "--rays", str(10**20), "--radii", "1", "--N", "4"], 2, "usage error:"),
     "grid-rays-2^62": (["grid", "--polar", "--rays", str(2**62), "--radii", "1", "--N", "2"], 2, "usage error:"),
@@ -220,6 +230,10 @@ BAD_ARGUMENTS = {
     "verify-rep-N-2^62": (["verify-rep", "--N", str(2**62)], 2, "usage error:"),
     "verify-rep-N-past-int64": (["verify-rep", "--N", "99999999999999999999"], 2, "usage error:"),
     "demo-image-scale-1e308": (["demo-image", "image.csv", "--grid", "grid.json", "--scale", "1e308"], 2, "usage error:"),
+    "demo-image-grid-file-past-address-space": (
+        ["demo-image", "image.pgm", "--grid", "unaddressable-grid.json"], 2, "usage error:"),
+    "evaluate-naive-grid-file-past-address-space": (
+        ["evaluate", "coeffs.bin", "--grid", "unaddressable-grid.json", "--naive", "--out", "out.bin"], 2, "usage error:"),
 }
 
 
@@ -228,7 +242,7 @@ def test_bad_argument_refused_before_allocating(workdir, case):
     # One stderr line with the documented code, and under 1 MB allocated on
     # the way: the refusal comes before any array of the requested size.
     argv, code, start = BAD_ARGUMENTS[case]
-    argv = [str(workdir / a) if a.endswith((".csv", ".json")) else a for a in argv]
+    argv = [str(workdir / a) if a.endswith((".csv", ".json", ".pgm", ".bin")) else a for a in argv]
     stderr = io.StringIO()
     tracemalloc.start()
     try:
@@ -267,11 +281,17 @@ def test_non_finite_payload_exit_5(workdir, valid, command, value):
 
 
 @FUZZ
-@given(data=st.data())
-def test_fuzz_grid_json(workdir, valid, data):
+@given(data=st.data(), command=st.sampled_from(["evaluate", "evaluate --naive", "demo-image"]))
+def test_fuzz_grid_json(workdir, valid, data, command):
+    # The fast evaluate refuses most mutants by their N before anything builds
+    # the full point set; the oracle and demo-image build it.
     bad = data.draw(mutated(valid["grid.json"]))
-    check(workdir, "grid.json", bad, ["evaluate", str(workdir / "coeffs.bin"), "--grid", "grid.json",
-                                      "--out", str(workdir / "out.bin")])
+    evaluate = ["evaluate", str(workdir / "coeffs.bin"), "--grid", "grid.json", "--out", str(workdir / "out.bin")]
+    check(workdir, "grid.json", bad, {
+        "evaluate": evaluate,
+        "evaluate --naive": evaluate + ["--naive"],
+        "demo-image": ["demo-image", str(workdir / "image.csv"), "--grid", "grid.json"],
+    }[command])
 
 
 @FUZZ

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import time
 
 import numpy as np
@@ -8,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotap import (
+    DomainError,
     InvalidGrid,
     NotInvariant,
     ParseError,
     RotInvariantGrid,
     SlicePoint,
     TrivialStabilizer,
+    assemble_blocks,
     build_polar_grid,
     canonicalize,
     load_grid,
@@ -81,6 +84,19 @@ def test_slice_point_is_its_pair():
     assert p.xy() == (math.cos(0.5), math.sin(0.5))
     with pytest.raises(AttributeError):
         p.radius = 2.0
+
+
+def test_raw_grid_holds_slice_points():
+    # A grid built from plain (radius, angle) pairs equals its SlicePoint twin,
+    # validates and assembles to the same bytes; plain pairs once raised
+    # AttributeError in validate, slice_polar and assemble_blocks.
+    g = build_polar_grid(2, [0.5, 1.0, 2.0], 4)
+    pairs = tuple(tuple(p) for p in g.points)
+    raw = RotInvariantGrid(4, pairs).validate()
+    assert raw == g and all(type(p) is SlicePoint for p in raw.points)
+    twin = assemble_blocks(g, RotInvariantGrid(4, g.points, "frequency").validate())
+    blocks = assemble_blocks(raw, RotInvariantGrid(4, pairs, "frequency").validate())
+    assert blocks.stack.dtype == twin.stack.dtype and blocks.stack.tobytes() == twin.stack.tobytes()
 
 
 class TestBuildPolarGrid:
@@ -463,6 +479,14 @@ class TestValidation:
         with pytest.raises(TrivialStabilizer):
             RotInvariantGrid(4, (SlicePoint(0.0, 0.0),), "frequency").validate()
 
+    def test_unaddressable_full_set_rejected(self):
+        # The N x P points of full_xy take 16 bytes each: half of sys.maxsize + 1
+        # bytes passes, one point more does not.
+        N, points = (sys.maxsize + 1) // 32, (SlicePoint(1e10, 0.0), SlicePoint(2e10, 0.0))
+        assert RotInvariantGrid(N, points[:1]).validate()
+        with pytest.raises(DomainError, match=f"N = {N} x 2 slice points: the full point set cannot be addressed"):
+            RotInvariantGrid(N, points).validate()
+
 
 class TestGroups:
     def test_clouds_match_greedy_scan(self):
@@ -513,6 +537,14 @@ class TestPersistence:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"N": 0, "kind": "spatial", "points": []}))
         with pytest.raises(InvalidGrid):
+            load_grid(path)
+
+    def test_unaddressable_grid_rejected(self, tmp_path):
+        # N x P points of 16 bytes past sys.maxsize, the rule build_polar_grid
+        # applies; radius 1e10, so the turned copy is no duplicate.
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"N": 2**62, "kind": "spatial", "points": [{"radius": 1e10, "angle": 0.0}]}))
+        with pytest.raises(DomainError, match="cannot be addressed"):
             load_grid(path)
 
     def test_malformed_json(self, tmp_path):

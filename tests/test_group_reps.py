@@ -204,6 +204,12 @@ class TestMatrixCoefficient:
         y = SlicePoint(rho, alpha)
         assert matrix_coefficient_check(lam, y, 6) < 1e-9
 
+    @pytest.mark.parametrize("N", [1, 4, 5])
+    def test_plain_pair_reads_as_slice_point(self, N):
+        # Once an AttributeError: y is read as a pair, bitwise as its SlicePoint.
+        lam = (1.2, 0.5)
+        assert matrix_coefficient_check(lam, (0.8, 0.3), N) == matrix_coefficient_check(lam, SlicePoint(0.8, 0.3), N)
+
     def test_no_rotation_has_nothing_to_check(self):
         assert matrix_coefficient_check((1.2, 0.5), SlicePoint(0.8, 0.3), 0) == 0.0
 
