@@ -54,6 +54,11 @@ _GEMM_MULTIPLY_ADDS = 1 << 19
 # Columns per GEMM call below which a DFT table is split into bands of rows.
 _GEMM_COLUMNS = 32
 
+# Bytes of blocks per stacked LAPACK call in _Layout.factor.  On a 2-core machine
+# interpolation at N=64, Q=64 / 128 took 4.8 / 21 ms in chunks of 1 << 18, 5.5 / 26 ms
+# in one call over all 33 bins; 1 << 16 ... 1 << 19 were level, as was every N at Q <= 16.
+_FACTOR_BYTES = 1 << 18
+
 # DFT tables kept per (N, axis).  An odd-N table holds about 8*N^2 bytes
 # (8.4 MB at N=1023), so a process that runs over many N keeps only the last
 # few.
@@ -365,16 +370,16 @@ class _Layout:
         """
         return self._in_order(self.stack[..., None]) if self.half else self.stack
 
-    def factor(self, factor_bin, shape: tuple[int, int], d: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def factor(self, factor_chunk, shape: tuple[int, int], d: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """A stack of this form with one ``shape`` matrix per bin, and one value per bin.
 
-        ``factor_bin(n, matrix, out)`` writes bin n's matrix to ``out`` and
-        returns its value; it runs in bin order on the bins that need it.  A
-        mirrored layout whose per-bin data ``d`` (if any) obey d[N-n] == d[n]
-        bitwise has bins 0 ... N/2 factored, in the stack's own form, and the
-        other values and complex matrices written as exact mirrors.  Every
-        other input, such as odd N, a hand-built complex stack or a half-stack
-        with unmirrored ``d``, has all N bins of the complex stack factored.
+        ``factor_chunk(first_bin, matrices, out)`` writes the matrices of bins
+        first_bin, first_bin + 1, ... to ``out`` and returns their values; it
+        takes at most ``_FACTOR_BYTES`` of blocks a call, in bin order.  A
+        mirrored layout with per-bin data ``d`` (if any) that obey
+        d[N-n] == d[n] bitwise factors bins 0 ... N/2 in its own form and
+        writes the rest as exact mirrors; every other input (odd N, a
+        hand-built complex stack, unmirrored ``d``) factors all N complex bins.
         """
         N = self.N
         mirrored = self.mirrored and (d is None or np.array_equal(d[1:], d[:0:-1]))
@@ -382,7 +387,8 @@ class _Layout:
         stack = self.stack if half else self.full()
         bins = N // 2 + 1 if mirrored else N
         out = np.empty((len(stack), *shape), dtype=float if half else complex)
-        values = np.array([factor_bin(n, b, out[n]) for n, b in enumerate(stack[:bins])])
+        step = max(1, _FACTOR_BYTES // max(1, stack[0].nbytes))  # bins per chunk; the last one stops at bins
+        values = np.concatenate([factor_chunk(n, stack[n:bins][:step], out[n:bins][:step]) for n in range(0, bins, step)])
         if bins < N:
             if not half:
                 _mirror_bins(out)

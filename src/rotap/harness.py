@@ -1,6 +1,6 @@
 """Benchmarks and model checks for the factorized transform.
 
-Fast-stage timings are wall-clock medians from one loop, ``_median_times``;
+Fast-stage timings are the median, min and max of one loop, ``_stage_times``;
 the dense oracle is timed by the one call whose result validates the fast
 path.  ``rotap bench`` reports the records as JSON, beside ``machine()``.
 The claimed costs are treated as scaling trends, not exact FLOP targets.
@@ -34,6 +34,9 @@ class BenchRecord:
     t_fast: float
     t_prefactorize: float
     t_solve: float
+    t_min: dict[str, float]  # the fastest and the slowest timed call of t_assemble ... t_solve, by name
+    t_max: dict[str, float]
+    r: float  # min(rho_min*xi_max, xi_min*rho_max) / (N/2); on the bench grids r <= 0.62 gave kappa_1 >= 2.6e8
     conditions: tuple[float, ...]
     oracle_rel_error: float
 
@@ -49,8 +52,8 @@ class BenchReport:
 _WARMUP_CALLS = 10
 
 
-def _median_times(fns: dict, repetitions: int) -> dict:
-    """Median wall time of each callable in ``fns``, under the same keys, after ``_WARMUP_CALLS`` untimed calls of each.
+def _stage_times(fns: dict, repetitions: int) -> dict:
+    """The wall times of each callable in ``fns``, under the same keys, after ``_WARMUP_CALLS`` untimed calls of each.
 
     Each repetition times every callable in turn, so that drift in machine
     speed, which on a shared host reaches 2x within seconds, reaches all alike.
@@ -64,7 +67,7 @@ def _median_times(fns: dict, repetitions: int) -> dict:
             t0 = time.perf_counter()
             fn()
             times[key].append(time.perf_counter() - t0)
-    return {key: float(np.median(t)) for key, t in times.items()}
+    return times
 
 
 def square_bench_grids(N: int, Q: int):
@@ -116,8 +119,14 @@ def bench_evaluate(N_list, Q_list, repetitions: int = 3, seed: int = 0) -> Bench
                 "t_prefactorize": functools.partial(prefactorize, blocks, "interpolation"),
                 "t_solve": functools.partial(interpolate, fast, fact),
             }
-            times = {key: _median_times({key: fn}, repetitions)[key] for key, fn in stages.items()}
-            record = BenchRecord(N, Q, Q, t_naive, **times, conditions=fact.conditions, oracle_rel_error=rel)
+            times = {key: _stage_times({key: fn}, repetitions)[key] for key, fn in stages.items()}
+            (rho, _), (xi, _) = E.slice_polar(), F.slice_polar()
+            record = BenchRecord(
+                N, Q, Q, t_naive, **{key: float(np.median(t)) for key, t in times.items()},
+                t_min={key: min(t) for key, t in times.items()}, t_max={key: max(t) for key, t in times.items()},
+                r=float(min(rho.min() * xi.max(), xi.min() * rho.max()) / (N / 2)),
+                conditions=fact.conditions, oracle_rel_error=rel,
+            )
             report.records.append(record)
     return report
 
@@ -139,7 +148,7 @@ def bench_solve_scaling(N: int, Q_list, repetitions: int = 200, seed: int = 0) -
         layout = prefactorize(assemble_blocks(E, F), "interpolation").layout
         rhs = rng.standard_normal((N, Q)) + 1j * rng.standard_normal((N, Q))
         solves[Q] = functools.partial(np.matmul, layout.stack, layout.columns(rhs))
-    return {Q: t / N for Q, t in _median_times(solves, repetitions).items()}
+    return {Q: float(np.median(t)) / N for Q, t in _stage_times(solves, repetitions).items()}
 
 
 def machine() -> dict:
@@ -155,7 +164,7 @@ def machine() -> dict:
 
 
 def optimal_N(grid_size: int) -> int:
-    """The cost-minimizing number of rotations for a square polar grid of the given size."""
+    """round(sqrt(G/10)), the N minimizing G^2/N + 10*G*N for G grid points; it ignores conditioning (README)."""
     if grid_size < 10:
         raise DomainError("grid_size must be >= 10")
     return max(1, round(math.sqrt(grid_size / 10)))

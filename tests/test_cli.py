@@ -386,7 +386,7 @@ class TestBenchCommand:
         [record] = report["records"]
         assert set(record) == {
             "N", "P", "Q", "t_naive", "t_assemble", "t_fast", "t_prefactorize", "t_solve",
-            "conditions", "oracle_rel_error",
+            "t_min", "t_max", "r", "conditions", "oracle_rel_error",
         }
         assert (record["N"], record["P"], record["Q"]) == (4, 6, 6)
         assert len(record["conditions"]) == 4 and record["oracle_rel_error"] < 1e-10

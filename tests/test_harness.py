@@ -46,6 +46,24 @@ class TestBenchEvaluate:
         assert (fields["N"], fields["P"], fields["Q"]) == (4, 6, 6)
         assert len(fields["conditions"]) == 4
 
+    def test_records_hold_each_stage_spread(self):
+        # t_min and t_max hold the fastest and slowest timed call of every
+        # stage that has a median, by its field name.
+        rec = bench_evaluate([4], [6], repetitions=5, seed=1).records[0]
+        stages = {"t_assemble", "t_fast", "t_prefactorize", "t_solve"}
+        assert set(rec.t_min) == set(rec.t_max) == stages
+        for key in stages:
+            assert 0 < rec.t_min[key] <= getattr(rec, key) <= rec.t_max[key]
+
+    @pytest.mark.parametrize("N, Q, r, ill_posed", [(4, 6, 2.0, False), (64, 16, 0.28125, True)])
+    def test_records_hold_r(self, N, Q, r, ill_posed):
+        # r = min(rho_min*xi_max, xi_min*rho_max) / (N/2); the bench grids'
+        # radii run from 1 to 1 + max(2, Q/2).  At (64, 16) the top bins are
+        # evanescent and kappa_1 passes 1e8, which r below 0.62 predicts.
+        rec = bench_evaluate([N], [Q], repetitions=3, seed=1).records[0]
+        assert rec.r == r
+        assert (max(rec.conditions) > 1e8) == ill_posed
+
     def test_fast_stages_warm_up_untimed(self, monkeypatch):
         # Every stage but the dense oracle runs the same number of untimed
         # calls before its timed repetitions; the oracle runs once, timed,

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from rotap import (
     rotate_coefficients,
     translate_coefficients,
 )
+from rotap import bessel
 from rotap.cli import CONDITION_LIMIT
 from rotap.errors import TrivialStabilizer
 from rotap.grids import SlicePoint
@@ -70,6 +72,24 @@ def cholesky_reference(blocks, w):
         conditions.append(np.linalg.norm(normal, 1) * np.linalg.norm(inverse, 1))
         operators.append(scipy.linalg.cho_solve(factor, adjoint))
     return operators, conditions
+
+
+def per_bin_factor(matrices, mode, d):
+    """Operators and kappa_1 of each bin from one np.linalg.inv per bin, with the 1-norm as the largest absolute column sum."""
+    operators, conditions = [], []
+    for n_hat, b in enumerate(matrices):
+        adjoint = b.conj().T
+        matrix = b if mode == "interpolation" else adjoint @ b + np.diag(d[n_hat] ** 2)
+        inverse = np.linalg.inv(matrix)
+        operators.append(inverse if mode == "interpolation" else inverse @ adjoint)
+        conditions.append(np.abs(matrix).sum(axis=0).max() * np.abs(inverse).sum(axis=0).max())
+    return np.array(operators), np.array(conditions)
+
+
+def two_ray_grids(N, count):
+    """E = F polar grids of 2 rays per slice over `count` radii: a complex, mirrored stack for even N."""
+    radii = np.linspace(1, 1 + count / 2, count)
+    return build_polar_grid(2, radii, N, kind="spatial"), build_polar_grid(2, radii, N, kind="frequency")
 
 
 def assert_mirrored(fact):
@@ -318,7 +338,7 @@ class TestPrefactorize:
         inv, counts = np.linalg.inv, []
 
         def counted(matrix):
-            counts[-1] += 1
+            counts[-1] += len(matrix) if matrix.ndim > 2 else 1  # the matrices inverted
             return inv(matrix)
 
         monkeypatch.setattr(np.linalg, "inv", counted)
@@ -363,6 +383,116 @@ class TestPrefactorize:
             assert np.abs(interp.operators[n_hat] - want).max() <= 1e-12 * np.abs(want).max()
         assert_mirrored(interp)
         assert_mirrored(approx)
+
+    @pytest.mark.parametrize(
+        "grids, hand_built, mode, weights, factored",
+        [
+            (lambda: square_bench_grids(64, 64), False, "interpolation", "banded", 33),
+            (lambda: square_bench_grids(64, 64), False, "approximation", "banded", 33),
+            (lambda: two_ray_grids(16, 32), False, "interpolation", "banded", 9),
+            (lambda: two_ray_grids(16, 32), False, "approximation", "banded", 9),
+            (lambda: square_bench_grids(15, 64), False, "interpolation", "banded", 15),
+            (lambda: square_bench_grids(15, 64), False, "approximation", "random", 15),
+            (lambda: square_bench_grids(16, 64), True, "approximation", "banded", 16),
+            (lambda: square_bench_grids(16, 64), False, "approximation", "random", 16),
+            (lambda: square_bench_grids(1024, 16), False, "interpolation", "banded", 513),
+        ],
+        ids=["axis-interp", "axis-approx", "2ray-interp", "2ray-approx", "N15-interp", "N15-approx", "hand-built",
+             "unmirrored-weights", "N1024-partial-chunk"],
+    )
+    def test_chunks_match_one_inversion_per_bin(self, grids, hand_built, mode, weights, factored, rng):
+        # The stacked calls give every factored bin the bytes of a call on that
+        # bin alone: the real half-stack's bins 0 ... N/2, those of mirrored
+        # complex stacks, and all N bins of odd N, hand-built stacks and
+        # unmirrored weights, over chunks of several bins and a partial last
+        # one (513 bins of 16 x 16 are 4 chunks of 128 and one of 1).
+        E, F = grids()
+        blocks = assemble_blocks(E, F)
+        if hand_built:
+            blocks = FourierBesselBlocks(E.N, blocks.blocks, E, F)
+        N, Q = E.N, len(F.points)
+        w = banded_weights(F, 100.0) if weights == "banded" else Weights(rng.uniform(0.1, 2.0, (N, Q)))
+        fact = prefactorize(blocks, mode, w)
+        source = blocks.blocks if np.iscomplexobj(fact.stack) else blocks.stack
+        operators, conditions = per_bin_factor(source[:factored], mode, w.values)
+        if factored < N:  # bins N/2+1 ... N-1 are written as mirrors, as assembly writes them
+            conditions = np.concatenate((conditions, conditions[-2:0:-1]))
+            if np.iscomplexobj(source):
+                operators = bessel._mirror_bins(np.concatenate((operators, np.zeros_like(operators[1:-1]))))
+        assert fact.stack.tobytes() == operators.tobytes()
+        assert np.array(fact.conditions).tobytes() == conditions.tobytes()
+
+    @pytest.mark.parametrize("N, Q, mode", [(1024, 16, "interpolation"), (64, 64, "approximation")])
+    def test_one_inversion_per_chunk(self, N, Q, mode, monkeypatch):
+        # Bins 0 ... N/2 of the half-stack reach LAPACK in chunks of
+        # _FACTOR_BYTES of blocks, the last one cut at bin N/2.
+        inv, shapes = np.linalg.inv, []
+
+        def recorded(matrices):
+            shapes.append(matrices.shape)
+            return inv(matrices)
+
+        monkeypatch.setattr(np.linalg, "inv", recorded)
+        E, F = square_bench_grids(N, Q)
+        blocks = assemble_blocks(E, F)
+        prefactorize(blocks, mode, banded_weights(F, 1.0))
+        step, bins = bessel._FACTOR_BYTES // blocks.stack[0].nbytes, N // 2 + 1
+        assert 1 < step < bins and bins % step
+        assert shapes == [(step, Q, Q)] * (bins // step) + [(bins % step, Q, Q)]
+
+    @pytest.mark.parametrize("mode", ["interpolation", "approximation"])
+    def test_singular_bin_inside_a_chunk_is_named(self, mode, rng, monkeypatch):
+        # Chunks of 4 bins: bin 6 lies inside the second chunk, bin 9 in the
+        # third.  A zero row of a block, or a zero column, which gives its
+        # normal matrix a zero row and column at zero weights, is an exact
+        # zero pivot under any rounding.
+        E = random_slice_grid(rng, 12, 3, r_lo=2.0, r_hi=4.0)
+        F = random_slice_grid(rng, 12, 3, "frequency", r_lo=2.0, r_hi=4.0)
+        blocks = assemble_blocks(E, F)
+        w = Weights.zero(12, 3)
+        assert max(prefactorize(blocks, mode, w).conditions) < 1e4
+        monkeypatch.setattr(bessel, "_FACTOR_BYTES", 4 * blocks.blocks[0].nbytes)
+        stack = blocks.blocks.copy()
+        for n_hat in (6, 9):
+            if mode == "interpolation":
+                stack[n_hat, 1] = 0
+            else:
+                stack[n_hat, :, 1] = 0
+        with pytest.raises(WellPosednessError) as exc:
+            prefactorize(FourierBesselBlocks(12, stack, E, F), mode, w)
+        assert exc.value.bin_index == 6 and str(exc.value) == str(WellPosednessError(6))
+        assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
+
+    def test_singular_bin_in_a_later_chunk_of_a_half_stack_is_named(self):
+        # The (33, 64, 64) half-stack goes to LAPACK 8 bins at a time at
+        # _FACTOR_BYTES = 1 << 18: bin 13 lies in the second chunk and bin 21
+        # in the third.
+        E, F = square_bench_grids(64, 64)
+        stack = assemble_blocks(E, F).stack.copy()
+        step = bessel._FACTOR_BYTES // stack[0].nbytes
+        first = step + step // 2 + 1
+        assert 1 < step and first + step < len(stack)
+        stack[first, 5] = 0
+        stack[first + step, 3] = 0
+        with pytest.raises(WellPosednessError) as exc:
+            prefactorize(FourierBesselBlocks(64, stack, E, F), "interpolation")
+        assert exc.value.bin_index == first and str(exc.value) == str(WellPosednessError(first))
+        assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
+
+    @pytest.mark.parametrize("mode", ["interpolation", "approximation"])
+    def test_chunks_bound_the_temporaries(self, mode):
+        # At (64, 64) the operators take 1.08 MB.  Chunks of _FACTOR_BYTES
+        # peaked at 1.61 / 1.88 MB (interpolation / approximation), one
+        # stacked call over all 33 bins at 3.26 / 4.35 MB.
+        E, F = square_bench_grids(64, 64)
+        blocks = assemble_blocks(E, F)
+        tracemalloc.start()
+        try:
+            prefactorize(blocks, mode, banded_weights(F, 100.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5e6
 
     def test_origin_grid_cannot_interpolate(self):
         # All N rotations fix the origin: N(P-1)+1 distinct points for N*Q coefficients.
