@@ -73,9 +73,10 @@ def _stage_times(fns: dict, repetitions: int) -> dict:
 def square_bench_grids(N: int, Q: int):
     """An E = F pair of polar grids with P = Q points in the slice, radii from 1 to 1 + max(2, Q/2).
 
-    The radial extent grows with Q: the per-bin kernel matrices only stay
-    well-conditioned when the products xi*rho spread over a range
-    proportional to the number of radial points being resolved.
+    The radial extent grows with Q, so that the products xi*rho spread over a
+    range proportional to the number of radial points resolved.  It does not
+    grow with N: at Q >= 4, r = (1 + Q/2)/(N/2) < 1 once N > Q + 2, and the
+    outer bins are then near singular (max kappa_1 5.8e17-4.1e19 at Q = 16).
     """
     Q = max(Q, 0)  # a Q below 1 gives no radius, which build_polar_grid refuses
     if Q * Q * np.dtype(complex).itemsize > sys.maxsize:
@@ -112,7 +113,6 @@ def bench_evaluate(N_list, Q_list, repetitions: int = 3, seed: int = 0) -> Bench
             fast = evaluate_fast(coeffs, blocks)
             rel = float(np.linalg.norm(fast.values - ref.values) / max(np.linalg.norm(ref.values), 1e-300))
             fact = prefactorize(blocks, "interpolation")
-            interpolate(fast, fact)
             stages = {
                 "t_assemble": functools.partial(assemble_blocks, E, F),
                 "t_fast": functools.partial(evaluate_fast, coeffs, blocks),

@@ -144,10 +144,11 @@ class TestSincos:
         assert np.abs(cos**2 + sin**2 - 1).max() <= 4 * np.finfo(float).eps
 
 
-@pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6, 8, 12, 64, 255, 256, 1023])
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6, 8, 12, 31, 61, 64, 255, 256, 1023, 4095])
 def test_kernel_bins_match_fft_reference(N):
     # N runs across _has_mirror's M > 2 threshold; products reach bench scale.
-    # At N = 256 and 1023 the DFT tables are split into bands of rows.
+    # At N = 256 the DFT tables are split into bands of rows; odd N (31 and
+    # 61 prime) takes numpy's FFT.
     # The reference takes every rotation's exponential and a length-N FFT.
     # Both sides round phases of size up to 1.1e3, each to a few ulps, so the
     # bins agree to a few eps times the largest product, not to eps.
@@ -272,6 +273,29 @@ class TestAssembleBlocks:
         # (N/2+1, P, Q) half-stack, and ``blocks.blocks`` is built on access.
         assert peak <= 1.1 * blocks.stack.nbytes
 
+    def test_large_odd_n_builds_no_table(self):
+        # Odd N takes an FFT over the rotations: a first assembly at N = 4095
+        # allocates a few MB, where an N x N DFT table would take over 100 MB.
+        bessel._dft_blocks.cache_clear()
+        E, F = square_bench_grids(4095, 4)
+        tracemalloc.start()
+        try:
+            assemble_blocks(E, F)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("rays, N", [(1, 7), (2, 5), (2, 2)])
+    def test_fft_path_uses_no_dft_table(self, rays, N):
+        # Odd N, and N = 2 off the axis, neither build nor look up a table.
+        E = build_polar_grid(rays, [1.0, 2.0, 3.0], N, kind="spatial")
+        F = build_polar_grid(rays, [0.5, 1.5], N, kind="frequency")
+        before = bessel._dft_blocks.cache_info()
+        assemble_blocks(E, F)
+        after = bessel._dft_blocks.cache_info()
+        assert (after.hits, after.misses, after.currsize) == (before.hits, before.misses, before.currsize)
+
     @pytest.mark.parametrize("N", [2, 4, 6, 8, 12, 64])
     def test_axis_pair_stores_real_half_stack(self, N):
         # blocks[n] = i^m * stack[m], m = min(n, N - n), built on access as a
@@ -376,11 +400,11 @@ class TestHandBuiltStacks:
 
 
 def test_dft_table_cache_is_bounded():
-    # An odd-N table holds about 8*N^2 bytes, so a process that assembles
-    # over many N must not keep every table.  An evicted N is rebuilt the same.
+    # A process that assembles over many even N must not keep every table.
+    # An evicted N is rebuilt the same.
     maxsize = bessel._dft_blocks.cache_info().maxsize
     assert maxsize is not None and maxsize <= 16
-    E, F = square_bench_grids(7, 4)
+    E, F = square_bench_grids(6, 4)
     first = assemble_blocks(E, F).stack.copy()
     for N in range(8, 48):
         assemble_blocks(*square_bench_grids(N, 4))
