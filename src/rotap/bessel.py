@@ -10,12 +10,12 @@ point.  It depends on (lambda, y) only through the product xi*rho and the
 angle difference alpha-omega.  The sum over r is a DFT: bin n_hat of the
 length-N DFT over r of the slice kernel exp(i*xi*rho*cos(alpha-omega+2*pi*r/N)).
 Stacking the cos and sin of the slice kernel's phases over a spatial slice E
-and a frequency slice F and taking their DFT over r (GEMMs with real tables
-for even N > 2 and axis pairs, an FFT otherwise) gives all N P x Q blocks at
-once.  Most of the remaining cost is the cos and sin of the phases; both
-come from one vectorized tan by the half-angle identity (:func:`_sincos`),
-since numpy computes float64 tan with SIMD but cos and sin one element at a
-time.  On an axis grid pair (N even, every slice angle 0) block n is i^m
+and a frequency slice F and taking their DFT over r (numpy's FFT for a
+complex stack, GEMMs with real tables for an axis pair's real half-stack)
+gives all N P x Q blocks at once.  Most of the remaining cost is the cos and
+sin of the phases; both come from one vectorized tan by the half-angle
+identity (:func:`_sincos`), since numpy computes float64 tan with SIMD but cos
+and sin one element at a time.  On an axis grid pair (N even, every slice angle 0) block n is i^m
 times a real matrix, m = min(n, N-n), and only those N/2+1 real matrices are
 stored.
 Assembly decides this form and the mirroring of bins once; the layout keeps it.
@@ -38,9 +38,9 @@ from .grids import RotInvariantGrid, TWO_PI
 
 
 # Entries of the slice kernel built per chunk of block rows: large enough to
-# amortize the per-call cost of the numpy passes and GEMMs, small enough that
-# the chunk's temporaries stay near 2 MB beside the (N, P, Q) output (256 kB on
-# the axis path, which writes its bins into the output).  On a 2-core machine
+# amortize the per-call cost of the numpy passes, FFTs and GEMMs, small enough
+# that the chunk's temporaries stay near 2 MB beside the (N, P, Q) output (256 kB
+# on the axis path, which writes its bins into the output).  On a 2-core machine
 # 1 << 16 assembled N=64, Q=128 in 2.9 ms against 3.5 ms at 1 << 15; 1 << 17
 # lifts the peak beyond 1.1 times the stack.  The chunk also sets where GEMM
 # column blocks end, and OpenBLAS rounds the columns of a block's last partial
@@ -60,9 +60,9 @@ _GEMM_COLUMNS = 32
 # in one call over all 33 bins; 1 << 16 ... 1 << 19 were level, as was every N at Q <= 16.
 _FACTOR_BYTES = 1 << 18
 
-# DFT tables kept per (N, axis), all for even N: about 4*N^2 bytes for a
-# mirrored pair and N^2 for an axis pair (4.2 MB and 1.1 MB at N=1024), so a
-# process that runs over many N keeps only the last few.
+# DFT tables kept per N, all for axis pairs at even N: about N^2 bytes each
+# (1.1 MB at N=1024), so a process that runs over many N keeps only the last
+# few.
 _CACHED_TABLES = 8
 
 
@@ -91,51 +91,35 @@ def _mirror_bins(stack: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=_CACHED_TABLES)
-def _dft_blocks(N: int, axis: bool = False) -> tuple[tuple[slice, np.ndarray], ...]:
-    """The DFT over r of even N as real matrices: (rows, matrix) pairs, one GEMM each.
+def _dft_blocks(N: int) -> tuple[tuple[slice, np.ndarray], ...]:
+    """The DFT over r of an axis pair at even N as real matrices: (rows, matrix) pairs, one GEMM each.
 
     ``matrix`` maps rows ``rows`` of the slice kernel's [cos; sin] array to
-    one part of the bins, which :func:`_kernel_bins` writes out.  There are
-    two tables; w = exp(-2*pi*i/N).  Every other N takes an FFT instead.
-
-    - ``axis`` (even N, every angle difference 0): the phases of rotations
-      r and N/2 - r are negatives of each other, so the rows hold rotations
-      0 ... N/4 only.  The matrices give the real half-stack
-      S_n = i^-n * J_n of bins 0 ... N/2, even n from the cos rows and odd
-      n from the sin rows, each row weighted by the rotations it stands for.
-    - even N > 2: the rows hold the first N/2 rotations, and
-      A[r + N/2] = conj(A[r]) makes bin n of 0 ... N/2
-      2*sum_r Re A[r] w^{nr} for even n and 2i*sum_r Im A[r] w^{nr} for odd
-      n: one block from the cos rows, one from the sin rows, each giving
-      [Re; Im] of its bins.
+    bins 0, 2, 4, ... or 1, 3, 5, ... of the real half-stack that
+    :func:`_kernel_bins` writes; w = exp(-2*pi*i/N).  With every angle
+    difference 0 the phases of rotations r and N/2 - r are negatives of each
+    other, so the rows hold rotations 0 ... N/4 only.  The matrices give
+    S_n = i^-n * J_n of bins 0 ... N/2, even n from the cos rows and odd n
+    from the sin rows, each row weighted by the rotations it stands for.
+    Every complex stack takes an FFT instead.
     """
-
-    def twiddles(bins: np.ndarray, rotations: int) -> tuple[np.ndarray, np.ndarray]:
-        angles = TWO_PI * ((bins[:, None] * np.arange(rotations)) % N) / N
-        return np.cos(angles), np.sin(angles)
-
     half = N // 2
-    if axis:
-        # Rotation r stands for r, N/2 - r, N/2 + r and N - r; at r = 0 and
-        # r = N/4 only two of them differ.
-        rotations = N // 4 + 1
-        weight = np.full(rotations, 4.0)
-        weight[0] = 2
-        if half % 2 == 0:
-            weight[-1] = 2
-        even, odd = np.arange(0, half + 1, 2), np.arange(1, half + 1, 2)
-        signs_even, signs_odd = (-1.0) ** (even[:, None] // 2), (-1.0) ** (odd[:, None] // 2)
-        blocks = (
-            (slice(0, rotations), signs_even * weight * twiddles(even, rotations)[0]),
-            (slice(rotations, 2 * rotations), signs_odd * weight * twiddles(odd, rotations)[0]),
-        )
-    else:
-        c_even, s_even = twiddles(np.arange(0, half + 1, 2), half)
-        c_odd, s_odd = twiddles(np.arange(1, half + 1, 2), half)
-        blocks = (
-            (slice(0, half), 2 * np.vstack([c_even, -s_even])),
-            (slice(half, N), 2 * np.vstack([s_odd, c_odd])),
-        )
+    # Rotation r stands for r, N/2 - r, N/2 + r and N - r; at r = 0 and
+    # r = N/4 only two of them differ.
+    rotations = N // 4 + 1
+    weight = np.full(rotations, 4.0)
+    weight[0] = 2
+    if half % 2 == 0:
+        weight[-1] = 2
+
+    def twiddles(bins: np.ndarray) -> np.ndarray:
+        return np.cos(TWO_PI * ((bins[:, None] * np.arange(rotations)) % N) / N)
+
+    even, odd = np.arange(0, half + 1, 2), np.arange(1, half + 1, 2)
+    blocks = (
+        (slice(0, rotations), (-1.0) ** (even[:, None] // 2) * weight * twiddles(even)),
+        (slice(rotations, 2 * rotations), (-1.0) ** (odd[:, None] // 2) * weight * twiddles(odd)),
+    )
     for _, matrix in blocks:
         matrix.flags.writeable = False
     return blocks
@@ -175,30 +159,37 @@ def _kernel_bins(products: np.ndarray, deltas: np.ndarray | None, N: int, out: n
     xi*rho*cos(delta) and xi*rho*sin(delta), so each entry takes two trig
     calls beside the cos and sin of its phases.  Those are the cost that
     remains, and :func:`_sincos` takes them from one vectorized ``tan`` by
-    the half-angle identity.  They fill one real (2*computed, S) array.  On
-    the axis and mirrored paths the cached matrices of :func:`_dft_blocks`
-    map it to the bins in GEMM calls of at most ``_GEMM_MULTIPLY_ADDS``
-    multiply-adds each: blocks of columns, and bands of the matrix's rows
-    where it is too large for ``_GEMM_COLUMNS`` columns.  The axis path's
-    GEMMs write the real half-stack into ``out``; the mirrored path writes
-    real parts to a temporary and combines them into ``out``.
+    the half-angle identity.  They fill one real (2*computed, S) array.
 
-    For even N > 2 the group holds the rotation by pi, and cos(t + pi) =
-    -cos(t) gives the slice kernel A[r + N/2] = conj(A[r]).  So only the
-    first N/2 rotations are computed, and the bins obey
-    J_{N-n} = (-1)^n conj(J_n), the discrete J_{-n} = (-1)^n J_n: the GEMMs
-    give bins 0 ... N/2 and bins N/2+1 ... N-1 are written as exact mirrors.
-    With delta = 0 the phases of r and N/2 - r are also negatives of each
-    other, so N/4 + 1 rotations suffice and every S_m is real.  Every other
-    N (odd, or 2 off the axis) computes all N rotations and takes numpy's FFT
-    over r in place in ``out``, with no table: 1.3-1.8x the time of a table
-    GEMM at prime N from 13 to 61, about a 25th of it at N = 4095.
+    Each stack form has one DFT route.  The complex stack takes numpy's FFT
+    over r, with no table.  For even N > 2 the group holds the rotation by
+    pi, and cos(t + pi) = -cos(t) gives the slice kernel
+    A[r + N/2] = conj(A[r]): only the first N/2 rotations are computed, and
+    their conjugates fill rows N/2 ... N-1 before the FFT.  The bins obey
+    J_{N-n} = (-1)^n conj(J_n), the discrete J_{-n} = (-1)^n J_n, and
+    bins N/2+1 ... N-1 are made exact mirrors after it.  Against the
+    mirrored GEMM table this replaced (2-core machine, alternated warm
+    medians on 2- and 3-ray grids) it took 0.92-1.05x the time at N = 4 and
+    8 with up to 6 radii, 1.15-1.45x from N = 4 to 128 with 32 or 64 radii,
+    0.82-0.97x at N = 256 and 0.10-0.13x at N = 4096, where a first call
+    went from 174-332 to 4-6 ms.  Odd N computes all N rotations: 1.3-1.8x
+    the time of a table GEMM at prime N from 13 to 61, about a 25th of it
+    at N = 4095.  The FFT runs in place when ``out`` is contiguous.  A chunk
+    of some of the stack's rows is transformed in a padded temporary and
+    copied in, since in place the FFT's strided reads of its bins evict each
+    other from the cache.
+
+    The real half-stack of an axis pair takes the cached matrices of
+    :func:`_dft_blocks`.  With delta = 0 the phases of r and N/2 - r are also
+    negatives of each other, so N/4 + 1 rotations suffice and every S_m is
+    real.  The GEMMs write the half-stack into ``out`` in calls of at most
+    ``_GEMM_MULTIPLY_ADDS`` multiply-adds each: blocks of columns, and bands
+    of the matrix's rows where it is too large for ``_GEMM_COLUMNS`` columns.
     """
     axis = deltas is None
     half = N // 2
-    fft = not (axis or _has_mirror(N))
-    computed = N if fft else N // 4 + 1 if axis else half
-    blocks = () if fft else _dft_blocks(N, axis)
+    mirror = not axis and _has_mirror(N)
+    computed = N // 4 + 1 if axis else half if mirror else N
     steps = TWO_PI * np.arange(computed)[:, None] / N
     if axis:
         shape, size = products.shape, products.size
@@ -206,12 +197,10 @@ def _kernel_bins(products: np.ndarray, deltas: np.ndarray | None, N: int, out: n
         a = products * np.cos(deltas)
         b = products * np.sin(deltas)
         shape, size = a.shape, a.size
-    # One temporary per call: the slice kernel's cos and sin rows, then the
-    # bins of the mirrored path.  As separate arrays they took fresh pages in
-    # every chunk, and the first assemblies of a process ran about 40% slower
-    # than later ones.  The other paths write their bins straight into ``out``.
-    work = np.empty((2 * computed + (0 if axis else sum(len(m) for _, m in blocks)), size))
-    slice_kernel = work[: 2 * computed]
+    # The slice kernel's cos and sin rows share one temporary: as separate
+    # arrays they took fresh pages in every chunk, and the first assemblies
+    # of a process ran about 40% slower than later ones.
+    slice_kernel = np.empty((2 * computed, size))
     cos_rows, sin_rows = slice_kernel[:computed], slice_kernel[computed:]
     if axis:
         phase = np.multiply(np.cos(steps), products.reshape(1, -1), out=sin_rows)
@@ -222,26 +211,31 @@ def _kernel_bins(products: np.ndarray, deltas: np.ndarray | None, N: int, out: n
     _sincos(phase, cos_rows)
     if out is None:
         out = np.empty((half + 1,) + shape) if axis else np.empty((N,) + shape, dtype=complex)
-    if fft:  # Assigning the shape raises where a view cannot be had; reshape would copy.
-        bins = out[:]
-        bins.shape = (N, size)
-        bins.real = cos_rows
-        bins.imag = sin_rows
+    if not axis:  # Assigning the shape raises where a view cannot be had; reshape would copy.
+        target = out[:]
+        target.shape = (N, size)
+        # In a chunk of some of the stack's rows the bins of an entry lie P*Q
+        # entries apart, on many grids a multiple of 4 kB, and the FFT's reads
+        # of them evict each other from the cache.  Such a chunk is transformed
+        # in a temporary whose rows are padded by one 64-byte line, then copied
+        # out: on a 2-core machine, with 2 rays x 64 radii at N = 64, 20 ms
+        # against 26 ms in place.
+        bins = target if out.flags.c_contiguous else np.empty((N, size + 4), dtype=complex)[:, :size]
+        bins[:computed].real = cos_rows
+        bins[:computed].imag = sin_rows
+        if mirror:
+            np.conjugate(bins[:half], out=bins[half:])
         np.fft.fft(bins, axis=0, out=bins)
+        if mirror:
+            _mirror_bins(bins)
+        if bins is not target:
+            target[...] = bins
         return out
-    results = []
-    start = 2 * computed
-    for parity, (rows, matrix) in enumerate(blocks):
-        if axis:
-            # Bins parity, parity + 2, ... of ``out`` as one (bins, entries) matrix
-            # that BLAS writes in place: within a bin the entries are contiguous.
-            # Assigning the shape raises where a view cannot be had; reshape would copy.
-            parts = out[parity : half + 1 : 2]
-            parts.shape = (len(matrix), size)
-        else:
-            parts = work[start : start + len(matrix)]
-            start += len(matrix)
-            results.append(parts.reshape((-1,) + shape))
+    for parity, (rows, matrix) in enumerate(_dft_blocks(N)):
+        # Bins parity, parity + 2, ... of ``out`` as one (bins, entries) matrix
+        # that BLAS writes in place: within a bin the entries are contiguous.
+        parts = out[parity : half + 1 : 2]
+        parts.shape = (len(matrix), size)
         # Each call stays under the cap.  A table too large for _GEMM_COLUMNS
         # columns in one call is split into bands of rows, not into narrower
         # column blocks, which at one column are matrix-vector products.
@@ -249,17 +243,8 @@ def _kernel_bins(products: np.ndarray, deltas: np.ndarray | None, N: int, out: n
         cols = max(1, _GEMM_MULTIPLY_ADDS // (band * matrix.shape[1]))
         for b in range(0, len(matrix), band):
             for c in range(0, size, cols):
-                np.matmul(
-                    matrix[b : b + band], slice_kernel[rows, c : c + cols], out=parts[b : b + band, c : c + cols]
-                )
-    if axis:
-        return out
-    for parity, parts in enumerate(results):
-        bins = out[parity : half + 1 : 2]
-        count = len(parts) // 2
-        bins.real = parts[:count]
-        bins.imag = parts[count:]
-    return _mirror_bins(out)
+                np.matmul(matrix[b : b + band], slice_kernel[rows, c : c + cols], out=parts[b : b + band, c : c + cols])
+    return out
 
 
 def _check_products(rho: float, xi: float) -> None:
@@ -403,7 +388,7 @@ class FourierBesselBlocks:
     (N/2+1, P, Q) half-stack S with J_n = i^m * S[m], m = min(n, N-n), a
     quarter of the complex stack's bytes; ``blocks`` is then built from it
     on each access.  On every other pair it stores the complex (N, P, Q)
-    stack, computing bins 0 ... N/2 for even N > 2 and mirroring the rest,
+    stack, with bins N/2+1 ... N-1 written as exact mirrors for even N > 2,
     and ``blocks`` is that array.  ``layout`` reads the form and records
     whether the bins are mirrored, which assembly decides once.  A stack
     built by hand is read by its dtype: complex is the full stack, with

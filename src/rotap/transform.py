@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .bessel import FourierBesselBlocks, _check_products, _Layout
 from .errors import DomainError, GridMismatch, ParseError, TrivialStabilizer, WellPosednessError
-from .grids import RotInvariantGrid, grid_from_dict, grid_to_dict, load_grid
+from .grids import RotInvariantGrid, grid_from_dict, grid_to_dict
 
 
 def _on_grid(values, grid: RotInvariantGrid, name: str) -> np.ndarray:
@@ -310,14 +309,8 @@ def approximation_objective(coeffs: ApCoefficients, samples: SampleArray, blocks
 # --- persistence: JSON header line + raw little-endian complex payload ---
 
 
-def _save_array(path, values: np.ndarray, grid: RotInvariantGrid, grid_path=None) -> None:
-    # grid_path is written as given; loading resolves a relative one against
-    # the directory of ``path``.
-    header = {
-        "N": grid.N,
-        "count": values.shape[1],
-        "grid": str(grid_path) if grid_path is not None else grid_to_dict(grid),
-    }
+def _save_array(path, values: np.ndarray, grid: RotInvariantGrid) -> None:
+    header = {"N": grid.N, "count": values.shape[1], "grid": grid_to_dict(grid)}
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, separators=(",", ":")).encode("utf-8"))
         fh.write(b"\n")
@@ -338,11 +331,7 @@ def _load_array(path) -> tuple[np.ndarray, RotInvariantGrid]:
     for name, value in (("N", N), ("count", count)):
         if type(value) is not int or value < 0:
             raise ParseError(f"{path}: header {name} must be a non-negative integer, got {value!r}")
-    grid_ref = header.get("grid")
-    if isinstance(grid_ref, str):
-        grid = load_grid(Path(path).parent / grid_ref)
-    else:
-        grid = grid_from_dict(grid_ref)
+    grid = grid_from_dict(header.get("grid"))
     expected = N * count * 16
     if len(payload) != expected:
         raise ParseError(f"{path}: expected {expected} payload bytes, got {len(payload)}")
@@ -352,8 +341,8 @@ def _load_array(path) -> tuple[np.ndarray, RotInvariantGrid]:
     return values, grid
 
 
-def save_coefficients(path, coeffs: ApCoefficients, grid_path=None) -> None:
-    _save_array(path, coeffs.values, coeffs.frequency_grid, grid_path)
+def save_coefficients(path, coeffs: ApCoefficients) -> None:
+    _save_array(path, coeffs.values, coeffs.frequency_grid)
 
 
 def load_coefficients(path) -> ApCoefficients:
@@ -361,8 +350,8 @@ def load_coefficients(path) -> ApCoefficients:
     return ApCoefficients(values, grid)
 
 
-def save_samples(path, samples: SampleArray, grid_path=None) -> None:
-    _save_array(path, samples.values, samples.spatial_grid, grid_path)
+def save_samples(path, samples: SampleArray) -> None:
+    _save_array(path, samples.values, samples.spatial_grid)
 
 
 def load_samples(path) -> SampleArray:

@@ -147,8 +147,8 @@ class TestSincos:
 @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6, 8, 12, 31, 61, 64, 255, 256, 1023, 4095])
 def test_kernel_bins_match_fft_reference(N):
     # N runs across _has_mirror's M > 2 threshold; products reach bench scale.
-    # At N = 256 the DFT tables are split into bands of rows; odd N (31 and
-    # 61 prime) takes numpy's FFT.
+    # Every N takes numpy's FFT, even N > 2 over half the rotations and their
+    # conjugates, odd N (31 and 61 prime) over all of them.
     # The reference takes every rotation's exponential and a length-N FFT.
     # Both sides round phases of size up to 1.1e3, each to a few ulps, so the
     # bins agree to a few eps times the largest product, not to eps.
@@ -273,11 +273,23 @@ class TestAssembleBlocks:
         # (N/2+1, P, Q) half-stack, and ``blocks.blocks`` is built on access.
         assert peak <= 1.1 * blocks.stack.nbytes
 
-    def test_large_odd_n_builds_no_table(self):
-        # Odd N takes an FFT over the rotations: a first assembly at N = 4095
-        # allocates a few MB, where an N x N DFT table would take over 100 MB.
+    @pytest.mark.parametrize(
+        "grids",
+        [
+            lambda: square_bench_grids(4095, 4),
+            lambda: (
+                build_polar_grid(2, [1.0, 3.0], 4096, kind="spatial"),
+                build_polar_grid(2, [1.0, 3.0], 4096, kind="frequency"),
+            ),
+        ],
+        ids=["odd-4095", "even-4096"],
+    )
+    def test_large_n_off_the_axis_builds_no_table(self, grids):
+        # Off the axis every N takes an FFT over the rotations: a first
+        # assembly at N = 4095 or 4096 allocates a few MB, where an N x N DFT
+        # table would take over 100 MB.
         bessel._dft_blocks.cache_clear()
-        E, F = square_bench_grids(4095, 4)
+        E, F = grids()
         tracemalloc.start()
         try:
             assemble_blocks(E, F)
@@ -286,9 +298,10 @@ class TestAssembleBlocks:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
-    @pytest.mark.parametrize("rays, N", [(1, 7), (2, 5), (2, 2)])
+    @pytest.mark.parametrize("rays, N", [(1, 7), (2, 5), (2, 2), (2, 4), (2, 8), (2, 64), (3, 6)])
     def test_fft_path_uses_no_dft_table(self, rays, N):
-        # Odd N, and N = 2 off the axis, neither build nor look up a table.
+        # Every pair off the axis, of odd or even N, neither builds nor looks
+        # up a table.
         E = build_polar_grid(rays, [1.0, 2.0, 3.0], N, kind="spatial")
         F = build_polar_grid(rays, [0.5, 1.5], N, kind="frequency")
         before = bessel._dft_blocks.cache_info()

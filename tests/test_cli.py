@@ -180,18 +180,21 @@ class TestEvaluateSolveRoundtrip:
         rc = main(["evaluate", str(cpath), "--grid", "g", "--out", str(tmp_path / "o.bin")])
         assert_error(capsys, rc, 5, "I/O error:")
 
-    def test_grid_path_relative_to_data_file(self, setup, tmp_path, monkeypatch):
+    def test_header_naming_a_grid_file_exit_5(self, setup, tmp_path, capsys):
+        # A data file carries its grid record.  A header whose grid is a
+        # string is malformed, and the file it names, here a valid grid
+        # beside the data file, is not opened.
         E, F, gpath, coeffs, cpath = setup
-        sub = tmp_path / "sub"
-        sub.mkdir()
         from rotap import save_grid
 
-        save_grid(F, sub / "F.json")
-        save_coefficients(sub / "c.bin", coeffs, grid_path="F.json")
-        monkeypatch.chdir(tmp_path)
-        out = tmp_path / "s.bin"
-        assert main(["evaluate", "sub/c.bin", "--grid", str(gpath), "--out", str(out)]) == 0
-        np.testing.assert_allclose(load_samples(out).values, evaluate_fast(coeffs, assemble_blocks(E, F)).values)
+        save_grid(F, tmp_path / "F.json")
+        payload = cpath.read_bytes().split(b"\n", 1)[1]
+        header = json.dumps({"N": F.N, "count": len(F.points), "grid": "F.json"})
+        cpath.write_bytes(header.encode() + b"\n" + payload)
+        rc = main(["evaluate", str(cpath), "--grid", str(gpath), "--out", str(tmp_path / "s.bin")])
+        err = capsys.readouterr().err
+        assert rc == 5
+        assert err.startswith("I/O error:") and err.count("\n") == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize(
         "weights, code, prefix",

@@ -173,7 +173,7 @@ def test_bad_grid_exit_3(workdir, grid, command):
     coeffs = workdir / f"bad-{grid}-coeffs.bin"
     save_coefficients(coeffs, ApCoefficients(np.ones((N, 1)), build_polar_grid(1, [1.0], N, kind="frequency")))
     samples = workdir / f"bad-{grid}-samples.bin"
-    header = json.dumps({"N": N, "count": count, "grid": path.name}).encode()
+    header = json.dumps({"N": N, "count": count, "grid": record}).encode()
     samples.write_bytes(header + b"\n" + np.ones(N * count, dtype="<c16").tobytes())
     out = str(workdir / "out.bin")
     argv = {
